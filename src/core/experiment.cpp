@@ -47,16 +47,25 @@ opt::CaptureRun assemble_capture(opt::TraceRecorder& rec,
 
 }  // namespace
 
+const Experiment::Inventory& Experiment::inventory() const {
+  // A throwing factory leaves the flag unset, so the next call retries.
+  std::call_once(inventory_->built, [this] {
+    const apps::Application app = factory_();
+    std::vector<std::pair<TaskId, std::string>> tasks;
+    for (const auto& p : app.net->processes())
+      tasks.emplace_back(p->id(), p->name());
+    inventory_->buffers = app.net->buffers();
+    inventory_->tasks = std::move(tasks);
+  });
+  return *inventory_;
+}
+
 std::vector<std::pair<TaskId, std::string>> Experiment::tasks() const {
-  const apps::Application app = factory_();
-  std::vector<std::pair<TaskId, std::string>> out;
-  for (const auto& p : app.net->processes()) out.emplace_back(p->id(), p->name());
-  return out;
+  return inventory().tasks;
 }
 
 std::vector<kpn::SharedBufferInfo> Experiment::buffers() const {
-  const apps::Application app = factory_();
-  return app.net->buffers();
+  return inventory().buffers;
 }
 
 SimJob Experiment::make_job(const sim::PlatformConfig& pc,
@@ -100,8 +109,7 @@ RunOutput Experiment::run_shared_with_l2(std::uint32_t l2_size_bytes) const {
 
 std::vector<Experiment::ProfileJob> Experiment::profile_jobs() const {
   std::vector<ProfileJob> out;
-  const auto task_list = tasks();
-  const auto buffer_list = buffers();
+  const Inventory& inv = inventory();
   const std::uint32_t runs = std::max(1u, cfg_.profile_runs);
   out.reserve(cfg_.profile_grid.size() * runs);
 
@@ -110,7 +118,7 @@ std::vector<Experiment::ProfileJob> Experiment::profile_jobs() const {
     // virtually so the whole plan fits (isolation makes M_i(s) independent
     // of the total size).
     opt::PartitionPlan uplan = opt::uniform_plan(
-        sets, task_list, buffer_list, cfg_.platform.hier.l2, cfg_.planner);
+        sets, inv.tasks, inv.buffers, cfg_.platform.hier.l2, cfg_.planner);
 
     sim::PlatformConfig pc = cfg_.platform;
     const std::uint32_t line = pc.hier.l2.line_bytes;
@@ -405,8 +413,9 @@ opt::MissProfile Experiment::profile_replay(
 }
 
 opt::PartitionPlan Experiment::plan(const opt::MissProfile& prof) const {
-  return opt::plan_partitions(prof, tasks(), buffers(), cfg_.platform.hier.l2,
-                              cfg_.planner);
+  const Inventory& inv = inventory();
+  return opt::plan_partitions(prof, inv.tasks, inv.buffers,
+                              cfg_.platform.hier.l2, cfg_.planner);
 }
 
 std::shared_ptr<opt::TraceStore> open_trace_store(const std::string& dir,

@@ -21,6 +21,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -83,6 +85,7 @@ struct ExperimentConfig {
   opt::ReplayKernel replay_kernel = opt::ReplayKernel::kAuto;
 };
 
+/// Const members are safe to call concurrently on one Experiment.
 class Experiment {
  public:
   Experiment(AppFactory factory, ExperimentConfig cfg)
@@ -92,6 +95,10 @@ class Experiment {
   const AppFactory& factory() const { return factory_; }
 
   /// Task inventory of the application (id, name), in creation order.
+  /// The first call to tasks() or buffers() — directly or through
+  /// profile_jobs(), plan() and the capture entry points — builds the
+  /// application once to learn both lists; later calls, on this
+  /// Experiment or on any copy of it, reuse them.
   std::vector<std::pair<TaskId, std::string>> tasks() const;
   /// Shared buffer inventory.
   std::vector<kpn::SharedBufferInfo> buffers() const;
@@ -184,6 +191,15 @@ class Experiment {
   RunOutput run_shared_with_l2(std::uint32_t l2_size_bytes) const;
 
  private:
+  /// The memo behind tasks()/buffers(). Held by shared_ptr so copies
+  /// share it and Experiment stays copyable and movable.
+  struct Inventory {
+    std::once_flag built;
+    std::vector<std::pair<TaskId, std::string>> tasks;
+    std::vector<kpn::SharedBufferInfo> buffers;
+  };
+  const Inventory& inventory() const;
+
   SimJob make_job(const sim::PlatformConfig& pc,
                   std::shared_ptr<const opt::PartitionPlan> plan,
                   std::uint64_t jitter, std::string label) const;
@@ -195,6 +211,7 @@ class Experiment {
 
   AppFactory factory_;
   ExperimentConfig cfg_;
+  std::shared_ptr<Inventory> inventory_ = std::make_shared<Inventory>();
 };
 
 /// Open a directory-backed trace store per the CLI flags (core/cli.hpp):

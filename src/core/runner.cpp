@@ -3,8 +3,10 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "common/log.hpp"
@@ -24,12 +26,20 @@ RunOutput execute_job(const SimJob& job) {
 
   // The OS registers every shared buffer in the interval table in both
   // modes: attribution (per-buffer stats) is mode-independent; only the
-  // index translation differs.
+  // index translation differs. A buffer that cannot be registered would
+  // have its L2 accesses silently attributed to the issuing task.
   mem::PartitionedCache& l2 = platform.hierarchy().l2();
   for (const auto& b : app.net->buffers()) {
-    const bool ok = l2.interval_table().add(b.base, b.footprint, b.id);
-    assert(ok && "overlapping shared buffers");
-    (void)ok;
+    if (!l2.interval_table().add(b.base, b.footprint, b.id)) {
+      char range[64];
+      std::snprintf(range, sizeof(range), "[0x%llx, +%llu)",
+                    static_cast<unsigned long long>(b.base),
+                    static_cast<unsigned long long>(b.footprint));
+      throw std::invalid_argument("shared buffer '" + b.name + "' " + range +
+                                  " of " + app.name +
+                                  " is empty or overlaps another shared "
+                                  "buffer");
+    }
   }
 
   if (job.plan != nullptr) {

@@ -80,7 +80,9 @@ struct JobResult {
   double wall_ms = 0.0;  // wall-clock of this job on its worker
 };
 
-/// Execute one job synchronously on the calling thread.
+/// Execute one job synchronously on the calling thread. Throws
+/// std::invalid_argument when a shared buffer of the application is empty
+/// or overlaps another one (its accesses could not be attributed to it).
 RunOutput execute_job(const SimJob& job);
 
 /// Thread-pool job runner for independent work items. Simulations

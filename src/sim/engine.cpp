@@ -12,13 +12,17 @@ TimingEngine::TimingEngine(Platform& platform, Os& os, std::vector<Task*> tasks,
     : platform_(platform), os_(os), tasks_(std::move(tasks)),
       finished_(std::move(finished)) {
   procs_.resize(platform_.num_procs());
-  for (std::size_t p = 0; p < procs_.size(); ++p)
+  order_.resize(procs_.size());
+  for (std::size_t p = 0; p < procs_.size(); ++p) {
     procs_[p].stats.id = static_cast<ProcId>(p);
-  task_states_.resize(tasks_.size());
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    task_states_[i].stats.id = tasks_[i]->id();
-    task_states_[i].stats.name = tasks_[i]->name();
+    order_[p] = p;
   }
+  task_stats_.resize(tasks_.size());
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    task_stats_[i].id = tasks_[i]->id();
+    task_stats_[i].name = tasks_[i]->name();
+  }
+  busy_.assign(tasks_.size(), false);
 }
 
 void TimingEngine::dispatch(ProcState& ps, std::size_t p, int idx) {
@@ -58,40 +62,56 @@ void TimingEngine::dispatch(ProcState& ps, std::size_t p, int idx) {
   task->fire(ctx);
   auto trace = task->recorder().take();
 
-  TaskState& tst = task_states_[static_cast<std::size_t>(idx)];
-  ++tst.stats.firings;
+  TaskRunStats& tst = task_stats_[static_cast<std::size_t>(idx)];
+  ++tst.firings;
   const std::uint64_t instr = trace.compute_cycles + trace.accesses;
-  tst.stats.instructions += instr;
+  tst.instructions += instr;
   ps.stats.instructions += instr;
   ++dispatches_;
 
-  tst.dispatched = !trace.events.empty();
-  for (auto& e : trace.events) ps.pending.push_back(e);
+  // Only dispatched from a drained processor, so nothing is overwritten.
+  assert(ps.drained());
+  ps.pending = std::move(trace.events);
+  ps.next = 0;
+  busy_[static_cast<std::size_t>(idx)] = !ps.drained();
 }
 
 void TimingEngine::step_access(ProcState& ps, std::size_t p) {
-  const MemAccess a = ps.pending.front();
-  ps.pending.pop_front();
-  assert(ps.current >= 0);
-  TaskState& tst = task_states_[static_cast<std::size_t>(ps.current)];
+  assert(ps.current >= 0 && !ps.drained());
+  const MemAccess& a = ps.pending[ps.next++];
+  const auto cur = static_cast<std::size_t>(ps.current);
+  TaskRunStats& tst = task_stats_[cur];
 
   ps.clock += a.gap;
-  tst.stats.compute_cycles += a.gap;
-  tst.stats.active_cycles += a.gap;
+  tst.compute_cycles += a.gap;
+  tst.active_cycles += a.gap;
   ps.stats.busy_cycles += a.gap;
 
   if (a.size > 0) {
     const auto out = platform_.hierarchy().access(
-        static_cast<ProcId>(p), tasks_[static_cast<std::size_t>(ps.current)]->id(),
-        a.addr, a.size, a.type, ps.clock);
+        static_cast<ProcId>(p), tasks_[cur]->id(), a.addr, a.size, a.type,
+        ps.clock);
     const Cycle latency = out.finish - ps.clock;
-    tst.stats.mem_cycles += latency;
-    tst.stats.active_cycles += latency;
-    tst.stats.l2_demand_misses += out.l2_misses;
+    tst.mem_cycles += latency;
+    tst.active_cycles += latency;
+    tst.l2_demand_misses += out.l2_misses;
     ps.stats.busy_cycles += latency;
     ps.clock = out.finish;
   }
-  if (ps.pending.empty()) tst.dispatched = false;
+  if (ps.drained()) {
+    // The firing is over: its task may be picked again, and its events
+    // are released rather than held until this processor's next dispatch.
+    busy_[cur] = false;
+    ps.pending = std::vector<MemAccess>();
+    ps.next = 0;
+  }
+}
+
+void TimingEngine::reinsert(std::size_t pos) {
+  const std::size_t p = order_[pos];
+  for (; pos + 1 < order_.size() && before(order_[pos + 1], p); ++pos)
+    order_[pos] = order_[pos + 1];
+  order_[pos] = p;
 }
 
 void TimingEngine::set_phase_schedule(
@@ -141,6 +161,8 @@ void TimingEngine::advance_phases(Cycle now) {
       }
     if (!drained) break;
     ++active_phase_;
+    for (std::size_t i = 0; i < tasks_.size(); ++i)
+      if (phase_of_[i] == active_phase_) busy_[i] = false;
     phase_entry_.push_back(now);
     if (phase_hook_) phase_hook_(active_phase_, now, platform_.hierarchy());
   }
@@ -156,51 +178,61 @@ SimResults TimingEngine::run() {
   bool deadlocked = false;
   bool hit_limit = false;
 
-  std::vector<bool> busy(tasks_.size(), false);
-  std::vector<std::size_t> order(procs_.size());
+  // Tasks of phases not yet active stay masked until advance_phases
+  // activates them; Os::pick and the quantum-keep path both honor busy_.
+  if (num_phases_ > 1)
+    for (std::size_t i = 0; i < tasks_.size(); ++i)
+      if (phase_of_[i] > active_phase_) busy_[i] = true;
+
+  const bool epochs = epoch_hook_ && epoch_length_ > 0;
+  // Set by every firing, the only event that can change task done() /
+  // can_fire(), the finished predicate or a phase's drain state.
+  bool fired = true;
+  bool app_finished = false;
 
   for (;;) {
     if (dispatches_ >= platform_.config().max_dispatches) {
       hit_limit = true;
       break;
     }
-    // Visit processors in clock order; the earliest one that can act
-    // (replay a pending access, or dispatch a new firing) does so. This
-    // keeps shared-L2 interleaving close to global time order while never
-    // stalling on a processor that simply has nothing to run.
-    for (std::size_t p = 0; p < order.size(); ++p) order[p] = p;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return procs_[a].clock < procs_[b].clock;
-    });
-
-    const bool app_finished = finished_ && finished_();
-    for (std::size_t i = 0; i < tasks_.size(); ++i)
-      busy[i] = task_states_[i].dispatched;
-
-    if (num_phases_ > 1) {
+    const Cycle now = procs_[order_[0]].clock;
+    if (fired) {
+      app_finished = finished_ && finished_();
       // Phase bookkeeping runs BEFORE the dispatch scan of the same
       // iteration: the moment a phase drains, its successor's tasks are
       // already eligible below — a fully gated network can never be
-      // mistaken for a deadlock. Gating rides the busy[] mask, which
-      // Os::pick and the quantum-keep fast path both honor.
-      advance_phases(procs_[order[0]].clock);
-      for (std::size_t i = 0; i < tasks_.size(); ++i)
-        if (phase_of_[i] > active_phase_) busy[i] = true;
+      // mistaken for a deadlock.
+      if (num_phases_ > 1) advance_phases(now);
+      fired = false;
     }
 
-    if (epoch_hook_ && epoch_length_ > 0) {
-      const Cycle now = procs_[order[0]].clock;
-      if (now >= next_epoch_) {
-        epoch_hook_(now, platform_.hierarchy());
-        next_epoch_ = (now / epoch_length_ + 1) * epoch_length_;
-      }
+    if (epochs && now >= next_epoch_) {
+      epoch_hook_(now, platform_.hierarchy());
+      next_epoch_ = (now / epoch_length_ + 1) * epoch_length_;
     }
 
+    // Visit processors in (clock, index) order; the earliest one that can
+    // act (replay a pending access, or dispatch a new firing) does so.
+    // This keeps shared-L2 interleaving close to global time order while
+    // never stalling on a processor that simply has nothing to run.
     bool acted = false;
-    for (const std::size_t p : order) {
+    for (std::size_t pos = 0; pos < order_.size(); ++pos) {
+      const std::size_t p = order_[pos];
       ProcState& ps = procs_[p];
-      if (!ps.pending.empty()) {
+      if (!ps.drained()) {
         step_access(ps, p);
+        // Run ahead: p keeps stepping for as long as the next iteration
+        // would pick it again. The processors visited before it could not
+        // act, and nothing they depend on (done(), can_fire(), busy_, the
+        // dispatch count, the phase state) changes before the next firing
+        // or before p's queue drains; Os::pick has no side effect when it
+        // finds nothing. So p is picked again while it still sorts before
+        // every unvisited processor and no epoch boundary is due.
+        while (!ps.drained() &&
+               (pos + 1 == order_.size() || before(p, order_[pos + 1])) &&
+               (!epochs || procs_[order_[0]].clock < next_epoch_))
+          step_access(ps, p);
+        reinsert(pos);
         acted = true;
         break;
       }
@@ -208,18 +240,20 @@ SimResults TimingEngine::run() {
       // Within its quantum a task keeps its processor if it can fire again.
       int idx = -1;
       if (ps.current != -1 && ps.quantum_left > 0 &&
-          !busy[static_cast<std::size_t>(ps.current)] &&
+          !busy_[static_cast<std::size_t>(ps.current)] &&
           !tasks_[static_cast<std::size_t>(ps.current)]->done() &&
           tasks_[static_cast<std::size_t>(ps.current)]->can_fire()) {
         idx = ps.current;
       } else {
-        idx = os_.pick(static_cast<ProcId>(p), tasks_, busy);
+        idx = os_.pick(static_cast<ProcId>(p), tasks_, busy_);
       }
       if (idx >= 0) {
         // A processor that fell behind while idle joins the present: work
         // becoming available cannot start in its past.
-        ps.clock = std::max(ps.clock, procs_[order[0]].clock);
+        ps.clock = std::max(ps.clock, now);
         dispatch(ps, p, idx);
+        reinsert(pos);
+        fired = true;
         acted = true;
         break;
       }
@@ -251,7 +285,7 @@ SimResults TimingEngine::collect(bool deadlocked, bool hit_limit) {
 
   const mem::PartitionedCache& l2 = platform_.hierarchy().l2();
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    TaskRunStats t = task_states_[i].stats;
+    TaskRunStats t = task_stats_[i];
     t.l2 = l2.client_stats(mem::ClientId::task(tasks_[i]->id()));
     res.tasks.push_back(std::move(t));
   }

@@ -8,6 +8,13 @@
 // production/consumption rates of the KPN — the mechanism behind the
 // paper's predictability discussion in section 3).
 //
+// Scheduling cost: processors stay sorted by (clock, index) and only the
+// one that acted is re-inserted, and a processor that steps an access
+// keeps stepping while the next iteration would pick it again anyway (see
+// run() in engine.cpp for the bound). Work that grows with the task count
+// (Os::pick, the phase drain check, the finished predicate) is left to
+// processors with an empty queue and to firing boundaries.
+//
 // Thread-safety: a TimingEngine (and the Platform, Os and tasks it drives)
 // is thread-confined — it owns all of its mutable state and touches no
 // globals beyond immutable constant tables and the atomic log level, so
@@ -17,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -35,7 +41,10 @@ class TimingEngine {
  public:
   /// `finished` — optional application-level termination predicate (e.g.
   /// "the sink consumed all frames"); when absent the engine runs until
-  /// every task reports done() or no task can fire.
+  /// every task reports done() or no task can fire. It is read once before
+  /// the first dispatch and once after every firing — never between two
+  /// accesses — so it must depend only on functional (firing-driven)
+  /// state, not on how often it is called.
   TimingEngine(Platform& platform, Os& os, std::vector<Task*> tasks,
                std::function<bool()> finished = nullptr);
 
@@ -83,13 +92,13 @@ class TimingEngine {
     Cycle clock = 0;
     int current = -1;  // index into tasks_, -1 = none
     std::uint32_t quantum_left = 0;
-    std::deque<MemAccess> pending;
+    /// Accesses of the current firing (the recorder's vector, moved in
+    /// at dispatch and released once drained), replayed from `next` on.
+    std::vector<MemAccess> pending;
+    std::size_t next = 0;
     ProcRunStats stats;
-  };
 
-  struct TaskState {
-    bool dispatched = false;  // a firing of this task is in flight
-    TaskRunStats stats;
+    bool drained() const { return next == pending.size(); }
   };
 
   /// Dispatch one firing of tasks_[idx] on proc `p` (functional phase).
@@ -99,6 +108,13 @@ class TimingEngine {
   /// Activate every phase whose predecessor has fully drained (firing the
   /// phase hook per activation).
   void advance_phases(Cycle now);
+  /// Does processor `a` go before `b`? Earlier clock first, ties by index.
+  bool before(std::size_t a, std::size_t b) const {
+    return procs_[a].clock < procs_[b].clock ||
+           (procs_[a].clock == procs_[b].clock && a < b);
+  }
+  /// Move order_[pos] back to its place after its clock advanced.
+  void reinsert(std::size_t pos);
   bool all_done() const;
   SimResults collect(bool deadlocked, bool hit_limit);
 
@@ -109,7 +125,14 @@ class TimingEngine {
   std::map<BufferId, std::string> buffer_names_;
 
   std::vector<ProcState> procs_;
-  std::vector<TaskState> task_states_;
+  /// Processor indices sorted by before(); clocks only grow, so keeping
+  /// it sorted means moving the processor that acted toward the back.
+  std::vector<std::size_t> order_;
+  std::vector<TaskRunStats> task_stats_;
+  /// Tasks Os::pick must skip: a firing is in flight, or the task's phase
+  /// is not active yet. Updated where that changes — dispatch, a queue
+  /// draining, phase activation.
+  std::vector<bool> busy_;
   std::uint64_t dispatches_ = 0;
   Cycle epoch_length_ = 0;
   EpochHook epoch_hook_;

@@ -1,7 +1,14 @@
 // Integration tests: the full Experiment pipeline on tiny app instances —
-// functional verification, compositionality, and the headline shared-vs-
-// partitioned comparison in the conflict-heavy regime.
+// functional verification, compositionality, the headline shared-vs-
+// partitioned comparison in the conflict-heavy regime, and how often each
+// entry point builds the application.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <functional>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "core/experiment.hpp"
 
@@ -22,6 +29,14 @@ AppFactory tiny_jpeg_canny(std::uint64_t seed = 7) {
 
 AppFactory tiny_m2v(std::uint64_t seed = 7) {
   return [seed] { return apps::make_m2v_app(apps::AppConfig::tiny(seed)); };
+}
+
+/// `inner`, counting every application it builds into `*builds`.
+AppFactory counting(AppFactory inner, std::shared_ptr<std::atomic<int>> builds) {
+  return [inner = std::move(inner), builds = std::move(builds)] {
+    ++*builds;
+    return inner();
+  };
 }
 
 TEST(Experiment, TaskAndBufferInventories) {
@@ -156,6 +171,95 @@ TEST(Experiment, StaticPolicyAlsoRunsToCompletion) {
   const RunOutput out = exp.run_shared();
   EXPECT_FALSE(out.results.deadlocked);
   EXPECT_TRUE(out.verified);
+}
+
+TEST(Experiment, InventoryEntryPointsBuildTheAppOnce) {
+  ExperimentConfig cfg = tiny_experiment();
+  cfg.profiler = ProfilerMode::kTraceReplay;
+  const Experiment reference(tiny_m2v(), cfg);
+  const opt::MissProfile prof = reference.profile();
+  const std::vector<opt::CaptureRun> captures = reference.capture_runs();
+
+  using EntryPoint = std::function<void(const Experiment&)>;
+  const std::vector<EntryPoint> entry_points = {
+      [](const Experiment& e) { e.tasks(); },
+      [](const Experiment& e) { e.buffers(); },
+      [](const Experiment& e) { e.profile_jobs(); },
+      [&](const Experiment& e) { e.replay_jobs(captures); },
+      [&](const Experiment& e) { e.multi_replay_jobs(captures); },
+      [&](const Experiment& e) { e.plan(prof); },
+  };
+  for (std::size_t i = 0; i < entry_points.size(); ++i) {
+    auto builds = std::make_shared<std::atomic<int>>(0);
+    const Experiment exp(counting(tiny_m2v(), builds), cfg);
+    entry_points[i](exp);
+    entry_points[i](exp);
+    const Experiment copy = exp;  // copies share the inventory
+    entry_points[i](copy);
+    EXPECT_EQ(builds->load(), 1) << "entry point " << i;
+  }
+}
+
+TEST(Experiment, SimulatingEntryPointsAddOneBuildPerRun) {
+  ExperimentConfig cfg = tiny_experiment();
+  cfg.profile_runs = 2;
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  const AppFactory factory = counting(tiny_m2v(), builds);
+
+  // The digest needs no application at all.
+  Experiment(factory, cfg).trace_digest(0);
+  EXPECT_EQ(builds->load(), 0);
+
+  // Evaluation runs build only the app they simulate.
+  *builds = 0;
+  Experiment(factory, cfg).run_shared();
+  EXPECT_EQ(builds->load(), 1);
+
+  // Two captures: one inventory build, one build per simulation.
+  *builds = 0;
+  {
+    const Experiment exp(factory, cfg);
+    exp.capture_single(0);
+    exp.capture_single(1);
+  }
+  EXPECT_EQ(builds->load(), 3);
+
+  // Replay profiling: the inventory plus one capture per jitter run.
+  *builds = 0;
+  cfg.profiler = ProfilerMode::kTraceReplay;
+  Experiment(factory, cfg).profile();
+  EXPECT_EQ(builds->load(), 1 + 2);
+
+  // Full-simulation profiling: the inventory plus one run per sweep job.
+  *builds = 0;
+  cfg.profiler = ProfilerMode::kFullSim;
+  Experiment(factory, cfg).profile();
+  EXPECT_EQ(builds->load(),
+            1 + static_cast<int>(cfg.profile_grid.size() * cfg.profile_runs));
+}
+
+TEST(Experiment, ConcurrentInventoryCallsBuildOnce) {
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  const Experiment exp(counting(tiny_jpeg_canny(), builds), tiny_experiment());
+  const auto size_of = [&exp](int kind) {
+    return kind == 0   ? exp.tasks().size()
+           : kind == 1 ? exp.buffers().size()
+                       : exp.profile_jobs().size();
+  };
+  constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<std::size_t> sizes(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t)
+    pool.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      sizes[t] = size_of(t % 3);
+    });
+  go = true;
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(builds->load(), 1);
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(sizes[t], size_of(t % 3)) << t;
+  EXPECT_EQ(sizes[0], 15u);
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 // deferred captures honestly, the memoized plan cache turns repeat
 // requests into pure lookups, a tiered store lets a fresh process answer
 // by L2 read-through with zero captures, one shared backend feeds both
-// the store and the plan cache, and the plan_server protocol parser
-// rejects malformed values (non-finite/negative eps included).
+// the store and the plan cache, a request builds its application only
+// for the task/buffer inventory and its captures (never on a plan-cache
+// hit), and the plan_server protocol parser rejects malformed values
+// (non-finite/negative eps included).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -713,6 +715,58 @@ TEST(PlanService, DuplicateGridSizesAreRejectedAsRequestErrors) {
   const PlanResponse resp = service.plan(req);
   EXPECT_FALSE(resp.ok);
   EXPECT_NE(resp.error.find("duplicate"), std::string::npos) << resp.error;
+}
+
+/// Builds of the "svc-counting" scenario's application (mpeg2-tiny
+/// content under its own trace key).
+std::atomic<int> counted_builds{0};
+
+void register_counting_scenario() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    core::ScenarioSpec spec = core::scenarios().get("mpeg2-tiny");
+    spec.name = "svc-counting";
+    spec.description = "mpeg2-tiny with a build-counting factory";
+    spec.experiment.trace_key += "/counting";
+    spec.factory = [inner = spec.factory] {
+      ++counted_builds;
+      return inner();
+    };
+    core::scenarios().add(std::move(spec));
+  });
+}
+
+TEST(PlanService, RequestsBuildTheAppOnlyForInventoryAndCaptures) {
+  register_counting_scenario();
+  TempDir tmp;
+  PlanRequest req;
+  req.scenario = "svc-counting";
+  req.runs = 2;
+  {
+    PlanningService service({make_store(tmp), 1, nullptr, nullptr});
+    counted_builds = 0;
+    const PlanResponse cold = service.plan(req);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    EXPECT_EQ(cold.captured(), 2u);
+    EXPECT_EQ(counted_builds.load(), 3);  // inventory + two captures
+
+    counted_builds = 0;
+    const PlanResponse warm = service.plan(req);
+    ASSERT_TRUE(warm.ok) << warm.error;
+    EXPECT_EQ(warm.store_hits(), 2u);
+    EXPECT_EQ(counted_builds.load(), 1);  // inventory only
+  }
+
+  PlanningServiceConfig cfg;
+  cfg.store = make_store(tmp);
+  cfg.plan_cache = std::make_shared<opt::PlanCache>(opt::PlanCache::Config{});
+  PlanningService service(std::move(cfg));
+  ASSERT_TRUE(service.plan(req).ok);
+  counted_builds = 0;
+  const PlanResponse hit = service.plan(req);
+  ASSERT_TRUE(hit.ok) << hit.error;
+  EXPECT_EQ(hit.plan_source, PlanSource::kCache);
+  EXPECT_EQ(counted_builds.load(), 0);  // a cache hit builds nothing
 }
 
 TEST(PlanProtocol, ParsesFullRequests) {

@@ -1,10 +1,12 @@
 // Campaign runner tests: submission-order results, determinism of the
 // parallel profiling sweep against the serial one (thread counts 1/2/8),
-// fragment folding, and error propagation.
+// fragment folding, error propagation, and rejection of apps whose shared
+// buffers overlap.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "core/runner.hpp"
@@ -92,6 +94,27 @@ TEST(Campaign, WorkerExceptionsPropagate) {
   };
   camp.add(bad);
   EXPECT_THROW(camp.run_all(), std::runtime_error);
+}
+
+TEST(Campaign, OverlappingSharedBuffersAreRejected) {
+  // Two shared buffers on the same bytes: the second cannot be
+  // registered, so its L2 accesses would be attributed to the issuing
+  // task. execute_job must refuse the app in every build type.
+  const AppFactory overlapping = [] {
+    apps::Application app = apps::make_m2v_app(apps::AppConfig::tiny(7));
+    // Rewind the allocator onto the first registered buffer.
+    app.net->space() = sim::AddressSpace(app.net->buffers().front().base);
+    app.net->make_segment("overlap", 4096);
+    return app;
+  };
+  const Experiment exp(overlapping, tiny_experiment(1));
+  try {
+    exp.run_shared();
+    FAIL() << "overlapping buffers accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'overlap'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ProfileFragments, FoldIsCompletionOrderIndependent) {
