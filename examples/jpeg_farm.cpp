@@ -32,6 +32,7 @@
 #include "common/serialize.hpp"
 #include "common/table.hpp"
 #include "core/cli.hpp"
+#include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "mem/partitioned_cache.hpp"
 #include "sim/engine.hpp"
@@ -220,9 +221,13 @@ int run_service_planned(int argc, char** argv, const std::string& dir) {
       core::parse_plan_cache_budget_entries(argc, argv)};
 
   register_farm_scenarios();
+  // One backend shared by the store and the plan cache's disk tier, the
+  // way plan_server wires them.
+  const std::shared_ptr<opt::StoreBackend> backend =
+      core::open_store_backend(dir, mode);
   svc::PlanningService service(
-      {svc::open_service_store(dir, mode), jobs, nullptr,
-       svc::open_plan_cache(cache_mode, dir, mode, cache_budget)});
+      {svc::open_service_store(backend, mode), jobs, nullptr,
+       svc::open_plan_cache(cache_mode, backend, mode, cache_budget)});
 
   std::printf("\nService-planned integration sweep (store %s, plan cache "
               "%s):\n",

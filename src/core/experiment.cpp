@@ -418,13 +418,6 @@ opt::PartitionPlan Experiment::plan(const opt::MissProfile& prof) const {
                               cfg_.platform.hier.l2, cfg_.planner);
 }
 
-std::shared_ptr<opt::TraceStore> open_trace_store(const std::string& dir,
-                                                  TraceMode mode) {
-  if (dir.empty() || mode == TraceMode::kOff) return nullptr;
-  return std::make_shared<opt::TraceStore>(dir,
-                                           mode == TraceMode::kReadOnly);
-}
-
 std::shared_ptr<opt::StoreBackend> open_store_backend(const std::string& dir,
                                                       TraceMode mode,
                                                       const std::string& l2_target,

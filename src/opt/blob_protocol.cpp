@@ -28,6 +28,20 @@ void check_header(ByteReader& r, std::uint32_t want_magic, const char* what) {
            " (expected " + std::to_string(kBlobProtocolVersion) + ")");
 }
 
+/// A digest names a file under the server's export (DirBackend joins it
+/// onto the directory), so a peer-supplied one must be a plain token:
+/// anything with a separator, a dot or an absolute path could reach
+/// outside the export. Real digests are 32 hex characters.
+bool is_blob_digest(const std::string& digest) {
+  if (digest.empty() || digest.size() > 128) return false;
+  for (const char c : digest) {
+    const bool token = (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z') ||
+                       (c >= 'a' && c <= 'z') || c == '_' || c == '-';
+    if (!token) return false;
+  }
+  return true;
+}
+
 BlobOp read_op(ByteReader& r) {
   const std::uint8_t op = r.u8();
   if (op > static_cast<std::uint8_t>(BlobOp::kList))
@@ -80,6 +94,9 @@ BlobRequest decode_blob_request(const std::string& payload) {
     r.fail("unknown blob kind " + std::to_string(kind));
   req.kind = static_cast<BlobKind>(kind);
   req.digest = r.str();
+  if (req.op != BlobOp::kPing && req.op != BlobOp::kList &&
+      !is_blob_digest(req.digest))
+    r.fail("invalid blob digest (want 1-128 of [0-9A-Za-z_-])");
   if (req.op == BlobOp::kPut) req.bytes = read_checked_bytes(r);
   if (!r.done()) r.fail("trailing bytes after blob request");
   return req;

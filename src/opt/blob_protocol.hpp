@@ -87,7 +87,9 @@ struct BlobResponse {
 
 std::string encode_blob_request(const BlobRequest& req);
 /// Throws std::runtime_error on malformed/truncated input, magic or
-/// version mismatch, or a put-payload checksum mismatch.
+/// version mismatch, a put-payload checksum mismatch, or a get/put/
+/// stat/remove digest that is not 1-128 characters of [0-9A-Za-z_-]
+/// (the digest names a file under the server's export).
 BlobRequest decode_blob_request(const std::string& payload);
 
 std::string encode_blob_response(const BlobResponse& resp);

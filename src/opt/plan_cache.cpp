@@ -3,19 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <set>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 
 #include "common/log.hpp"
 #include "common/serialize.hpp"
 
 namespace cms::opt {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -142,17 +136,6 @@ PartitionPlan get_plan(serialize::ByteReader& rd) {
   return plan;
 }
 
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error(path + ": cannot open plan cache file");
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0) in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw std::runtime_error(path + ": short read loading plan entry");
-  return bytes;
-}
-
 }  // namespace
 
 std::string PlanKey::digest() const {
@@ -252,50 +235,20 @@ PlanCacheEntry decode_plan_entry(const std::uint8_t* data, std::size_t size,
   return entry;
 }
 
-void save_plan_entry(const PlanCacheEntry& entry, std::string_view digest,
-                     const std::string& path) {
-  // Concurrent writers of one key produce identical content (the
-  // content-addressing invariant), so either rename winning is correct.
-  serialize::write_file_atomic(path, encode_plan_entry(entry, digest));
-}
-
-PlanCacheEntry load_plan_entry(const std::string& path, std::string* digest) {
-  const std::vector<std::uint8_t> bytes = read_file(path);
-  return decode_plan_entry(bytes.data(), bytes.size(), path, digest);
-}
-
 // ---- PlanCache ----
 
 PlanCache::PlanCache(Config cfg) : cfg_(std::move(cfg)) {
-  // Normalize the two spellings of tier 2 onto one backend handle: an
-  // explicit backend wins; a bare directory builds the historical
-  // DirBackend layout (shared with the trace store's .cmstrace entries).
-  if (cfg_.backend == nullptr && !cfg_.dir.empty())
-    cfg_.backend =
-        std::make_shared<DirBackend>(cfg_.dir, /*create=*/!cfg_.read_only);
   if (!disk_tier()) return;
   // Index pre-existing .cmsplan entries; the backend lists them
   // stalest-first (mtime order, digest tie-break) — the same reopen
   // semantics as the trace store sharing this directory.
-  const std::vector<StoreBackend::ListedBlob> found =
-      cfg_.backend->list(BlobKind::kPlan);
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const StoreBackend::ListedBlob& b : found) {
-    disk_[b.digest] = DiskEntry{b.bytes, ++clock_};
-    disk_bytes_total_ += b.bytes;
-  }
+  for (const StoreBackend::ListedBlob& b : cfg_.backend->list(BlobKind::kPlan))
+    disk_index_.touch(b.digest, b.bytes);
 }
 
 std::string PlanCache::path_of(const std::string& digest) const {
   return disk_tier() ? cfg_.backend->path_of(BlobKind::kPlan, digest)
                      : std::string();
-}
-
-std::string PlanCache::context_of(const std::string& digest) const {
-  std::string ctx = path_of(digest);
-  if (ctx.empty())
-    ctx = cfg_.backend->describe() + ":" + digest + ".cmsplan";
-  return ctx;
 }
 
 std::shared_ptr<const PlanCacheEntry> PlanCache::get(
@@ -304,9 +257,9 @@ std::shared_ptr<const PlanCacheEntry> PlanCache::get(
     std::lock_guard<std::mutex> lk(mu_);
     const auto it = mem_.find(digest);
     if (it != mem_.end()) {
-      it->second.last_use = ++clock_;
+      mem_index_.touch(digest, 0);  // indexed: keeps its size
       mem_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second.entry;
+      return it->second;
     }
   }
   if (!disk_tier()) {
@@ -314,75 +267,36 @@ std::shared_ptr<const PlanCacheEntry> PlanCache::get(
     return nullptr;
   }
 
-  const auto miss = [&]() -> std::shared_ptr<const PlanCacheEntry> {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = disk_.find(digest);
-    if (it != disk_.end()) {  // pruned by another process: resync
-      disk_bytes_total_ -= it->second.bytes;
-      disk_.erase(it);
-    }
+  PlanCacheEntry loaded;
+  const std::optional<std::uint64_t> bytes = read_verified(
+      *cfg_.backend, BlobKind::kPlan, digest,
+      [&](const StoreBackend::Blob& blob, const std::string& context) {
+        std::string stored_digest;
+        loaded = decode_plan_entry(blob.data(), blob.size(), context,
+                                   &stored_digest);
+        return stored_digest;
+      });
+  std::lock_guard<std::mutex> lk(mu_);
+  if (!bytes) {
+    disk_index_.erase(digest);  // pruned by another process: resync
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
-  };
-
-  std::string stored_digest;
-  PlanCacheEntry loaded;
-  std::uint64_t bytes = 0;
-  for (int attempt = 0;; ++attempt) {
-    std::optional<StoreBackend::Blob> blob;
-    try {
-      blob = cfg_.backend->get(BlobKind::kPlan, digest);
-    } catch (const std::runtime_error&) {
-      // Present but unreadable: one retry separates a prune-then-rewrite
-      // race from genuine breakage (a vanished entry is nullopt, below).
-      if (attempt == 0) continue;
-      throw;
-    }
-    if (!blob) return miss();
-    try {
-      loaded = decode_plan_entry(blob->data(), blob->size(),
-                                 context_of(digest), &stored_digest);
-      bytes = blob->size();  // the exact size, no re-stat race
-      break;
-    } catch (const std::runtime_error&) {
-      // A decode failure with the entry gone again is the prune race
-      // resolving to a miss. Still present: one retry distinguishes a
-      // prune-then-rewrite race from genuine corruption — entries are
-      // immutable per digest, so a successful reread is the same plan.
-      if (cfg_.backend->contains(BlobKind::kPlan, digest)) {
-        if (attempt == 0) continue;
-        throw;
-      }
-      return miss();
-    }
   }
-  if (stored_digest != digest)
-    throw std::runtime_error(context_of(digest) + ": stored plan key " +
-                             stored_digest + " does not match requested " +
-                             digest);
-
   auto entry = std::make_shared<const PlanCacheEntry>(std::move(loaded));
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    // Promote into tier 1 so the next hit skips the file entirely.
-    insert_mem_locked(digest, entry, bytes);
-    enforce_mem_budget_locked();
-    auto& de = disk_[digest];
-    disk_bytes_total_ += bytes - de.bytes;
-    de.bytes = bytes;
-    de.last_use = ++clock_;
-  }
+  // Promote into tier 1 so the next hit skips the file entirely.
+  insert_mem_locked(digest, entry, *bytes);
+  disk_index_.touch(digest, *bytes);
   disk_hits_.fetch_add(1, std::memory_order_relaxed);
   return entry;
 }
 
 void PlanCache::put(const std::string& digest, PlanCacheEntry entry) {
   const std::vector<std::uint8_t> blob = encode_plan_entry(entry, digest);
-  auto shared = std::make_shared<const PlanCacheEntry>(std::move(entry));
   {
     std::lock_guard<std::mutex> lk(mu_);
-    insert_mem_locked(digest, std::move(shared), blob.size());
-    enforce_mem_budget_locked();
+    insert_mem_locked(
+        digest, std::make_shared<const PlanCacheEntry>(std::move(entry)),
+        blob.size());
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
 
@@ -398,98 +312,37 @@ void PlanCache::put(const std::string& digest, PlanCacheEntry entry) {
   }
   disk_writes_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);
-  auto& de = disk_[digest];
-  disk_bytes_total_ += blob.size() - de.bytes;
-  de.bytes = blob.size();
-  de.last_use = ++clock_;
-  enforce_disk_budget_locked();
+  disk_index_.touch(digest, blob.size());
+  enforce_disk_locked();
 }
 
 void PlanCache::insert_mem_locked(
     const std::string& digest, std::shared_ptr<const PlanCacheEntry> entry,
     std::uint64_t bytes) {
-  MemEntry& me = mem_[digest];
-  mem_bytes_total_ += bytes - me.bytes;
-  me.bytes = bytes;
-  me.entry = std::move(entry);
-  me.last_use = ++clock_;
+  mem_[digest] = std::move(entry);
+  mem_index_.touch(digest, bytes);
+  evict_mem_locked();
 }
 
-TraceStore::GcResult PlanCache::enforce_mem_budget_locked() {
-  TraceStore::GcResult out;
-  const TraceStore::Capacity& cap = cfg_.memory;
-  if (cap.unlimited()) return out;
-  const auto over = [&] {
-    return (cap.max_bytes != 0 && mem_bytes_total_ > cap.max_bytes) ||
-           (cap.max_entries != 0 && mem_.size() > cap.max_entries);
-  };
-  while (over() && !mem_.empty()) {
-    auto victim = mem_.begin();
-    for (auto it = mem_.begin(); it != mem_.end(); ++it)
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    mem_bytes_total_ -= victim->second.bytes;
-    out.evicted_entries += 1;
-    out.evicted_bytes += victim->second.bytes;
-    // Readers holding the shared_ptr keep their entry alive — eviction
-    // only drops the cache's reference (pin-during-read).
-    mem_.erase(victim);
-  }
-  mem_evictions_.fetch_add(out.evicted_entries, std::memory_order_relaxed);
-  mem_evicted_bytes_.fetch_add(out.evicted_bytes, std::memory_order_relaxed);
-  return out;
+GcResult PlanCache::evict_mem_locked() {
+  // Readers holding the shared_ptr keep their entry alive — eviction only
+  // drops the cache's reference (pin-during-read).
+  return mem_index_.evict(cfg_.budget, [&](const std::string& digest) {
+    mem_.erase(digest);
+    return StoreBackend::RemoveOutcome::kRemoved;
+  });
 }
 
-TraceStore::GcResult PlanCache::enforce_disk_budget_locked() {
-  TraceStore::GcResult out;
-  const TraceStore::Capacity& cap = cfg_.disk;
-  if (!disk_tier() || cfg_.read_only || cap.unlimited()) return out;
-  const auto over = [&] {
-    return (cap.max_bytes != 0 && disk_bytes_total_ > cap.max_bytes) ||
-           (cap.max_entries != 0 && disk_.size() > cap.max_entries);
-  };
-  std::set<std::string> skipped;  // remove failed this pass: not a victim
-  while (over()) {
-    const std::string* victim = nullptr;
-    std::uint64_t oldest = 0;
-    for (const auto& [digest, e] : disk_) {
-      if (skipped.contains(digest)) continue;
-      if (victim == nullptr || e.last_use < oldest) {
-        victim = &digest;
-        oldest = e.last_use;
-      }
-    }
-    if (victim == nullptr) break;
-    const auto it = disk_.find(*victim);
-    const StoreBackend::RemoveOutcome removed =
-        cfg_.backend->remove(BlobKind::kPlan, *victim);
-    if (removed == StoreBackend::RemoveOutcome::kFailed) {
-      // Removal failed with the entry still occupying storage: dropping
-      // the index entry would orphan bytes nobody accounts for until
-      // reopen. Keep it (the budget stays busted) and move on.
-      skipped.insert(*victim);
-      continue;
-    }
-    disk_bytes_total_ -= it->second.bytes;
-    if (removed == StoreBackend::RemoveOutcome::kRemoved) {
-      out.evicted_entries += 1;
-      out.evicted_bytes += it->second.bytes;
-    }
-    // kVanished: already gone (another process pruned it) — resync the
-    // index without claiming an eviction.
-    disk_.erase(it);
-  }
-  disk_evictions_.fetch_add(out.evicted_entries, std::memory_order_relaxed);
-  disk_evicted_bytes_.fetch_add(out.evicted_bytes,
-                                std::memory_order_relaxed);
-  return out;
+GcResult PlanCache::enforce_disk_locked() {
+  if (!disk_tier()) return {};
+  return disk_index_.enforce(*cfg_.backend, BlobKind::kPlan, cfg_.budget,
+                             cfg_.read_only);
 }
 
-TraceStore::GcResult PlanCache::gc() {
+GcResult PlanCache::gc() {
   std::lock_guard<std::mutex> lk(mu_);
-  TraceStore::GcResult out = enforce_mem_budget_locked();
-  const TraceStore::GcResult disk = enforce_disk_budget_locked();
-  out.evicted_entries += disk.evicted_entries;
-  out.evicted_bytes += disk.evicted_bytes;
+  GcResult out = evict_mem_locked();
+  out += enforce_disk_locked();
   return out;
 }
 
@@ -501,18 +354,18 @@ PlanCache::Stats PlanCache::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.inserts = inserts_.load(std::memory_order_relaxed);
   s.disk_writes = disk_writes_.load(std::memory_order_relaxed);
-  s.mem_evictions = mem_evictions_.load(std::memory_order_relaxed);
-  s.mem_evicted_bytes = mem_evicted_bytes_.load(std::memory_order_relaxed);
-  s.disk_evictions = disk_evictions_.load(std::memory_order_relaxed);
-  s.disk_evicted_bytes = disk_evicted_bytes_.load(std::memory_order_relaxed);
-  s.evictions = s.mem_evictions + s.disk_evictions;
-  s.evicted_bytes = s.mem_evicted_bytes + s.disk_evicted_bytes;
   if (disk_tier()) s.tiers = cfg_.backend->tier_counters();
   std::lock_guard<std::mutex> lk(mu_);
-  s.entries = mem_.size();
-  s.bytes = mem_bytes_total_;
-  s.disk_entries = disk_.size();
-  s.disk_bytes = disk_bytes_total_;
+  s.mem_evictions = mem_index_.evicted().evicted_entries;
+  s.mem_evicted_bytes = mem_index_.evicted().evicted_bytes;
+  s.disk_evictions = disk_index_.evicted().evicted_entries;
+  s.disk_evicted_bytes = disk_index_.evicted().evicted_bytes;
+  s.evictions = s.mem_evictions + s.disk_evictions;
+  s.evicted_bytes = s.mem_evicted_bytes + s.disk_evicted_bytes;
+  s.entries = mem_index_.entries();
+  s.bytes = mem_index_.bytes();
+  s.disk_entries = disk_index_.entries();
+  s.disk_bytes = disk_index_.bytes();
   return s;
 }
 

@@ -11,25 +11,31 @@
 // a single knapsack.
 //
 //   Tier 1 (memory): PlanKey digest -> shared_ptr<const PlanCacheEntry>,
-//     LRU-evicted under its own entry/byte budget. Readers hold the
+//     LRU-evicted under the cache's entry/byte budget. Readers hold the
 //     shared_ptr, so eviction can drop the cache's reference but never a
 //     result a request is still copying from (pin-during-read).
 //   Tier 2 (disk):   <digest>.cmsplan blobs behind an opt::StoreBackend
-//     (opt/store_backend.hpp) — by default a DirBackend over the SAME
-//     directory as the trace store's .cmstrace entries, but any backend
-//     (mem, tiered) composes. The format is a versioned magic + FNV-1a
-//     trailer (below); DirBackend publishes via temp file + atomic
-//     rename. Warm plans survive the process; an entry another process
-//     pruned mid-read is a MISS, a corrupt or mislabeled one THROWS.
+//     (opt/store_backend.hpp) — typically the trace store's own backend,
+//     so plans share its directory (and tiering) with the .cmstrace
+//     entries, but any backend (dir, mem, tiered) composes. The format
+//     is a versioned magic + FNV-1a trailer (below); DirBackend
+//     publishes via temp file + atomic rename. Warm plans survive the
+//     process; an entry another process pruned mid-read is a MISS, a
+//     corrupt or mislabeled one THROWS.
 //     Stale entries cannot be served at all: the PlanKey digest includes
 //     the schema version and every planning input, so any change
 //     addresses a different blob (invalidation by addressing, exactly
 //     like the trace store).
 //
+// Both tiers keep their LRU order and byte accounting in an
+// opt::BudgetIndex and tier-2 reads go through opt::read_verified
+// (opt/store_policy.hpp) — the same policy as the trace store.
+//
 // Thread-safety: get()/put()/gc()/stats() are safe from any number of
-// threads. Counters are lock-free atomics mirroring TraceStore::Stats;
-// one mutex guards the two LRU indexes and is never held across file
-// I/O except during disk-tier eviction removals (the trace store's rule).
+// threads. Hit/miss/insert/write counters are lock-free atomics mirroring
+// TraceStore::Stats; one mutex guards tier 1 and the two budget indexes
+// and is never held across file I/O except during tier-2 eviction
+// removals and re-stats (the trace store's rule).
 #pragma once
 
 #include <atomic>
@@ -44,7 +50,7 @@
 #include "opt/planner.hpp"
 #include "opt/profile.hpp"
 #include "opt/store_backend.hpp"
-#include "opt/trace_store.hpp"
+#include "opt/store_policy.hpp"
 
 namespace cms::opt {
 
@@ -122,34 +128,20 @@ PlanCacheEntry decode_plan_entry(const std::uint8_t* data, std::size_t size,
                                  const std::string& context,
                                  std::string* digest = nullptr);
 
-/// File round trip (temp file + atomic rename on save, like
-/// save_capture); both throw std::runtime_error with the path on I/O or
-/// format errors.
-void save_plan_entry(const PlanCacheEntry& entry, std::string_view digest,
-                     const std::string& path);
-PlanCacheEntry load_plan_entry(const std::string& path,
-                               std::string* digest = nullptr);
-
 class PlanCache {
  public:
   struct Config {
-    /// Explicit tier-2 backend (mem, tiered, a shared instance with the
-    /// trace store...); when null, a DirBackend is built over `dir`.
+    /// Tier-2 backend (typically the trace store's, so .cmsplan entries
+    /// share its directory; mem, tiered, ... compose too). Null disables
+    /// tier 2 — entries then live and die with this instance.
     std::shared_ptr<StoreBackend> backend;
-    /// Disk-tier directory (typically the trace store's dir); ignored
-    /// when `backend` is set. Both empty disables tier 2 — entries then
-    /// live and die with this instance.
-    std::string dir;
-    /// A read-only disk tier serves warm hits but never writes (frozen
-    /// CI stores). Ignored without a tier 2.
+    /// A read-only tier 2 serves warm hits but never writes (frozen CI
+    /// stores). Ignored without a tier 2.
     bool read_only = false;
-    /// Tier-1 (in-memory) budget; 0 = unlimited. Bytes are the entries'
-    /// encoded sizes.
-    TraceStore::Capacity memory;
-    /// Tier-2 (persistent) budget over the .cmsplan blobs; 0 =
-    /// unlimited. LRU order is seeded from the backend's stalest-first
-    /// listing on open, like the store.
-    TraceStore::Capacity disk;
+    /// Entry/byte budget applied to EACH tier; 0 = unlimited. Bytes are
+    /// the entries' encoded sizes. Tier 2's LRU order is seeded from the
+    /// backend's stalest-first listing on open, like the store.
+    Capacity budget;
   };
 
   /// Counters mirror TraceStore::Stats: hits/misses/inserts are
@@ -177,10 +169,8 @@ class PlanCache {
     std::optional<StoreBackend::TierCounters> tiers;
   };
 
-  /// Open the cache (and in read-write disk mode create the directory,
-  /// indexing any existing .cmsplan entries oldest-first, mtime ties
-  /// broken by digest). Throws std::runtime_error when a read-write
-  /// directory cannot be created.
+  /// Open the cache, indexing any existing tier-2 .cmsplan entries
+  /// oldest-first (mtime ties broken by digest).
   explicit PlanCache(Config cfg);
 
   PlanCache(const PlanCache&) = delete;
@@ -207,27 +197,16 @@ class PlanCache {
   void put(const std::string& digest, PlanCacheEntry entry);
 
   /// Enforce both budgets now; returns what was evicted (both tiers).
-  TraceStore::GcResult gc();
+  GcResult gc();
 
   Stats stats() const;
 
  private:
-  struct MemEntry {
-    std::shared_ptr<const PlanCacheEntry> entry;
-    std::uint64_t bytes = 0;
-    std::uint64_t last_use = 0;
-  };
-  struct DiskEntry {
-    std::uint64_t bytes = 0;
-    std::uint64_t last_use = 0;
-  };
-
   void insert_mem_locked(const std::string& digest,
                          std::shared_ptr<const PlanCacheEntry> entry,
                          std::uint64_t bytes);
-  TraceStore::GcResult enforce_mem_budget_locked();
-  TraceStore::GcResult enforce_disk_budget_locked();
-  std::string context_of(const std::string& digest) const;
+  GcResult evict_mem_locked();
+  GcResult enforce_disk_locked();
 
   Config cfg_;
 
@@ -236,17 +215,11 @@ class PlanCache {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> disk_writes_{0};
-  std::atomic<std::uint64_t> mem_evictions_{0};
-  std::atomic<std::uint64_t> mem_evicted_bytes_{0};
-  std::atomic<std::uint64_t> disk_evictions_{0};
-  std::atomic<std::uint64_t> disk_evicted_bytes_{0};
 
-  mutable std::mutex mu_;  // guards mem_, disk_, clock_, *_bytes_total_
-  std::map<std::string, MemEntry> mem_;
-  std::map<std::string, DiskEntry> disk_;
-  std::uint64_t clock_ = 0;
-  std::uint64_t mem_bytes_total_ = 0;
-  std::uint64_t disk_bytes_total_ = 0;
+  mutable std::mutex mu_;  // guards mem_, mem_index_, disk_index_
+  std::map<std::string, std::shared_ptr<const PlanCacheEntry>> mem_;
+  BudgetIndex mem_index_;
+  BudgetIndex disk_index_;
 };
 
 }  // namespace cms::opt

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -219,25 +218,6 @@ CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
   if (!rd.done())
     throw std::runtime_error(context + ": trailing garbage after payload");
   return capture;
-}
-
-void save_capture(const CaptureRun& capture, std::string_view digest,
-                  const std::string& path) {
-  // Concurrent writers racing on the same digest produce identical
-  // content, so the temp-file + rename in write_file_atomic makes either
-  // winner correct.
-  serialize::write_file_atomic(path, encode_capture(capture, digest));
-}
-
-CaptureRun load_capture(const std::string& path, std::string* digest) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error(path + ": cannot open trace file");
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0) in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw std::runtime_error(path + ": short read loading trace");
-  return decode_capture(bytes.data(), bytes.size(), path, digest);
 }
 
 // ---- Replay ----

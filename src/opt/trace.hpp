@@ -33,10 +33,9 @@
 //
 // Captures are durable: a versioned binary file format (kTraceMagic /
 // kTraceFormatVersion, per-client stream table, FNV-1a trailer checksum)
-// round-trips a CaptureRun through encode_capture/decode_capture and
-// save_capture/load_capture, and opt/trace_store.hpp builds a
-// content-addressed directory store on top so captures recorded once are
-// replayed across processes and runs.
+// round-trips a CaptureRun through encode_capture/decode_capture, and
+// opt/trace_store.hpp builds a content-addressed store on top so captures
+// recorded once are replayed across processes and runs.
 //
 // Active cycles t_i(z_k) cannot be replayed (bus grants and DRAM bank
 // occupancy are global), so BOTH profiler modes reconstruct them from the
@@ -208,13 +207,6 @@ std::vector<std::uint8_t> encode_capture(const CaptureRun& capture,
 CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
                           const std::string& context,
                           std::string* digest = nullptr);
-
-/// File round-trip. save_capture writes atomically enough for a store
-/// (temp file + rename); both throw std::runtime_error with the path on
-/// I/O or format errors.
-void save_capture(const CaptureRun& capture, std::string_view digest,
-                  const std::string& path);
-CaptureRun load_capture(const std::string& path, std::string* digest = nullptr);
 
 /// Off-chip cycles a demand L2 miss adds on top of the uniform (hit-path)
 /// charge: nominal DRAM access latency + the return bus transfer.

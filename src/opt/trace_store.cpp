@@ -1,9 +1,7 @@
 #include "opt/trace_store.hpp"
 
-#include <set>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 namespace cms::opt {
 
@@ -22,16 +20,10 @@ void TraceStore::Pin::release() {
   store_ = nullptr;
 }
 
-TraceStore::TraceStore(std::string dir, bool read_only)
-    : TraceStore(std::move(dir), read_only, Capacity()) {}
-
 TraceStore::TraceStore(std::string dir, bool read_only, Capacity capacity)
     : TraceStore(
           std::make_shared<DirBackend>(std::move(dir), /*create=*/!read_only),
           read_only, capacity) {}
-
-TraceStore::TraceStore(std::shared_ptr<StoreBackend> backend, bool read_only)
-    : TraceStore(std::move(backend), read_only, Capacity()) {}
 
 TraceStore::TraceStore(std::shared_ptr<StoreBackend> backend, bool read_only,
                        Capacity capacity)
@@ -44,178 +36,32 @@ TraceStore::TraceStore(std::shared_ptr<StoreBackend> backend, bool read_only,
   // Index pre-existing entries; the backend lists them stalest-first
   // (mtime order, ties broken by digest) so a reopened store evicts the
   // stalest captures first, deterministically.
-  const std::vector<StoreBackend::ListedBlob> found =
-      backend_->list(BlobKind::kTrace);
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const StoreBackend::ListedBlob& b : found)
-    touch_locked(b.digest, b.bytes);
+  for (const StoreBackend::ListedBlob& b : backend_->list(BlobKind::kTrace))
+    index_.touch(b.digest, b.bytes);
 }
 
 std::string TraceStore::path_of(const std::string& digest) const {
   return backend_->path_of(BlobKind::kTrace, digest);
 }
 
-std::string TraceStore::context_of(const std::string& digest) const {
-  std::string ctx = backend_->path_of(BlobKind::kTrace, digest);
-  if (ctx.empty()) ctx = backend_->describe() + ":" + digest + ".cmstrace";
-  return ctx;
-}
-
-void TraceStore::touch_locked(const std::string& digest,
-                              std::uint64_t bytes) const {
-  Entry& e = entries_[digest];
-  if (e.last_use == 0) {  // new entry
-    e.bytes = bytes;
-    bytes_total_ += bytes;
-    if (bytes == 0) ++unknown_sizes_;  // stat failed: re-stat later
-  } else if (bytes != 0 && bytes != e.bytes) {  // rewritten, or a size that
-    if (e.bytes == 0) --unknown_sizes_;         // could finally be statted
-    bytes_total_ += bytes - e.bytes;
-    e.bytes = bytes;
-  }
-  e.last_use = ++clock_;
-}
-
-void TraceStore::erase_locked(const std::string& digest) const {
-  const auto it = entries_.find(digest);
-  if (it == entries_.end()) return;
-  if (it->second.bytes == 0) --unknown_sizes_;
-  bytes_total_ -= it->second.bytes;
-  entries_.erase(it);
-}
-
-void TraceStore::restat_unknown_locked() const {
-  // Entries indexed while their stat failed (a peer's eviction racing the
-  // save, a directory masquerading as an entry) carry bytes == 0, which
-  // silently undercounts bytes_total_ and lets the byte budget be busted.
-  // Fix them up before any accounting decision instead of freezing at 0.
-  if (unknown_sizes_ == 0) return;
-  for (auto it = entries_.begin();
-       it != entries_.end() && unknown_sizes_ > 0;) {
-    if (it->second.bytes != 0) {
-      ++it;
-      continue;
-    }
-    const std::optional<std::uint64_t> sz =
-        backend_->stat(BlobKind::kTrace, it->first);
-    if (sz && *sz > 0) {
-      it->second.bytes = *sz;
-      bytes_total_ += it->second.bytes;
-      --unknown_sizes_;
-      ++it;
-    } else if (!sz) {
-      // Gone entirely (the racing eviction won): drop the stale entry.
-      --unknown_sizes_;
-      it = entries_.erase(it);
-    } else {
-      ++it;  // still unstat-able; the next pass tries again
-    }
-  }
-}
-
-TraceStore::GcResult TraceStore::enforce_budget_locked() const {
-  GcResult out;
-  restat_unknown_locked();
-  if (read_only_ || capacity_.unlimited()) return out;
-  const auto over = [&] {
-    return (capacity_.max_bytes != 0 && bytes_total_ > capacity_.max_bytes) ||
-           (capacity_.max_entries != 0 &&
-            entries_.size() > capacity_.max_entries);
-  };
-  std::set<std::string> skipped;  // remove failed this pass: not a victim
-  while (over()) {
-    // Least-recently-used unpinned entry; pinned entries are invisible to
-    // eviction, so a store whose pins alone bust the budget stays over it.
-    const std::string* victim = nullptr;
-    std::uint64_t oldest = 0;
-    for (const auto& [digest, e] : entries_) {
-      if (pins_.contains(digest) || skipped.contains(digest)) continue;
-      if (victim == nullptr || e.last_use < oldest) {
-        victim = &digest;
-        oldest = e.last_use;
-      }
-    }
-    if (victim == nullptr) break;
-    const auto it = entries_.find(*victim);
-    const StoreBackend::RemoveOutcome removed =
-        backend_->remove(BlobKind::kTrace, *victim);
-    if (removed == StoreBackend::RemoveOutcome::kFailed) {
-      // Delete FAILED with the entry still occupying storage: dropping
-      // the index entry would orphan bytes nobody accounts for until
-      // reopen, and counting them as evicted would claim a reclamation
-      // that never happened. Keep the entry (the budget stays busted,
-      // like a pinned entry) and skip it for the rest of this pass so
-      // enforcement cannot spin on it.
-      skipped.insert(*victim);
-      continue;
-    }
-    if (it->second.bytes == 0) --unknown_sizes_;
-    bytes_total_ -= it->second.bytes;
-    if (removed == StoreBackend::RemoveOutcome::kRemoved) {
-      out.evicted_entries += 1;
-      out.evicted_bytes += it->second.bytes;
-    }
-    // kVanished: the entry had already disappeared (another process
-    // evicted it) — resync the index without claiming an eviction we
-    // never did.
-    entries_.erase(it);
-  }
-  evictions_.fetch_add(out.evicted_entries, std::memory_order_relaxed);
-  evicted_bytes_.fetch_add(out.evicted_bytes, std::memory_order_relaxed);
-  return out;
-}
-
 std::optional<CaptureRun> TraceStore::load(const std::string& digest) const {
-  const auto miss = [&]() -> std::optional<CaptureRun> {
-    std::lock_guard<std::mutex> lk(mu_);
-    erase_locked(digest);  // may have been evicted by another process
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  };
-  std::string stored_digest;
   CaptureRun capture;
-  std::uint64_t bytes = 0;
-  for (int attempt = 0;; ++attempt) {
-    std::optional<StoreBackend::Blob> blob;
-    try {
-      blob = backend_->get(BlobKind::kTrace, digest);
-    } catch (const std::runtime_error&) {
-      // Present but unreadable: either genuine breakage or an
-      // evict-then-resave race mid-read; ONE retry distinguishes them
-      // (the backend already reports a vanished entry as nullopt).
-      if (attempt == 0) continue;
-      throw;
-    }
-    if (!blob) return miss();
-    try {
-      capture = decode_capture(blob->data(), blob->size(),
-                               context_of(digest), &stored_digest);
-      bytes = blob->size();
-      break;
-    } catch (const std::runtime_error&) {
-      // A decode failure with the entry gone again is the eviction race
-      // resolving to a miss. Still present means either genuine
-      // corruption or an evict-then-resave race (a peer wrote the entry
-      // back after the eviction that broke our read); one retry
-      // distinguishes them — entries are immutable per digest, so a
-      // successful reread is the same capture, and a second failure on a
-      // present entry is real corruption to surface.
-      if (backend_->contains(BlobKind::kTrace, digest)) {
-        if (attempt == 0) continue;
-        throw;
-      }
-      return miss();
-    }
-  }
-  // The digest inside the blob must match the name it was addressed by;
-  // a renamed or hand-copied entry must never masquerade as another key.
-  if (stored_digest != digest)
-    throw std::runtime_error(context_of(digest) + ": stored digest " +
-                             stored_digest + " does not match requested " +
-                             digest);
+  const std::optional<std::uint64_t> bytes = read_verified(
+      *backend_, BlobKind::kTrace, digest,
+      [&](const StoreBackend::Blob& blob, const std::string& context) {
+        std::string stored_digest;
+        capture =
+            decode_capture(blob.data(), blob.size(), context, &stored_digest);
+        return stored_digest;
+      });
   {
     std::lock_guard<std::mutex> lk(mu_);
-    touch_locked(digest, bytes);
+    if (!bytes) {
+      index_.erase(digest);  // may have been evicted by another process
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      return std::nullopt;
+    }
+    index_.touch(digest, *bytes);
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   return capture;
@@ -228,8 +74,8 @@ void TraceStore::save(const std::string& digest,
   backend_->put(BlobKind::kTrace, digest, blob);
   writes_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(mu_);
-  touch_locked(digest, blob.size());  // the exact size, no re-stat race
-  enforce_budget_locked();
+  index_.touch(digest, blob.size());  // the exact size, no re-stat race
+  index_.enforce(*backend_, BlobKind::kTrace, capacity_, read_only_);
 }
 
 bool TraceStore::contains(const std::string& digest) const {
@@ -237,30 +83,28 @@ bool TraceStore::contains(const std::string& digest) const {
       backend_->stat(BlobKind::kTrace, digest);
   std::lock_guard<std::mutex> lk(mu_);
   if (sz)
-    touch_locked(digest, *sz);
+    index_.touch(digest, *sz);
   else
-    erase_locked(digest);
+    index_.erase(digest);
   return sz.has_value();
 }
 
 TraceStore::Pin TraceStore::pin(const std::string& digest) const {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    ++pins_[digest];
+    index_.pin(digest);
   }
   return Pin(this, digest);
 }
 
 void TraceStore::unpin(const std::string& digest) const {
   std::lock_guard<std::mutex> lk(mu_);
-  const auto it = pins_.find(digest);
-  if (it == pins_.end()) return;
-  if (--it->second == 0) pins_.erase(it);
+  index_.unpin(digest);
 }
 
 TraceStore::GcResult TraceStore::gc() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return enforce_budget_locked();
+  return index_.enforce(*backend_, BlobKind::kTrace, capacity_, read_only_);
 }
 
 TraceStore::Stats TraceStore::stats() const {
@@ -268,13 +112,13 @@ TraceStore::Stats TraceStore::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.writes = writes_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.evicted_bytes = evicted_bytes_.load(std::memory_order_relaxed);
   s.tiers = backend_->tier_counters();
   std::lock_guard<std::mutex> lk(mu_);
-  s.entries = entries_.size();
-  s.bytes = bytes_total_;
-  s.pinned = pins_.size();
+  s.evictions = index_.evicted().evicted_entries;
+  s.evicted_bytes = index_.evicted().evicted_bytes;
+  s.entries = index_.entries();
+  s.bytes = index_.bytes();
+  s.pinned = index_.pinned();
   return s;
 }
 

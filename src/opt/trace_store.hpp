@@ -20,33 +20,34 @@
 //   else { capture = run_instrumented(); store.save(digest, capture); }
 //
 // Capacity management (the planning service's long-running stores): a
-// byte/entry budget with LRU eviction. The store keeps an in-memory index
-// of every entry's size and last use (seeded from the directory at
-// construction, ordered by file mtime); save() and gc() delete the
-// least-recently-used entries until the budget holds again. Entries PINNED
-// by in-flight requests (pin(), RAII Pin handle, refcounted) are never
-// evicted BY THIS INSTANCE — if only pinned entries remain, the store
-// stays over budget rather than corrupt a capture someone is using. A pin
-// names a digest, not a file: pinning before the entry exists is legal
-// and protects the entry from the moment it is saved. Pins are
-// per-instance state: another process (or another TraceStore over the
-// same directory) enforcing its own budget may still delete the file —
-// that degrades to a miss + re-capture on this side (see load() below),
-// never to corruption.
+// byte/entry budget with LRU eviction, kept by an opt::BudgetIndex
+// (opt/store_policy.hpp — the same policy both plan-cache tiers use)
+// seeded from the directory at construction, ordered by file mtime;
+// save() and gc() delete the least-recently-used entries until the budget
+// holds again. Entries PINNED by in-flight requests (pin(), RAII Pin
+// handle, refcounted) are never evicted BY THIS INSTANCE — if only pinned
+// entries remain, the store stays over budget rather than corrupt a
+// capture someone is using. A pin names a digest, not a file: pinning
+// before the entry exists is legal and protects the entry from the moment
+// it is saved. Pins are per-instance state: another process (or another
+// TraceStore over the same directory) enforcing its own budget may still
+// delete the file — that degrades to a miss + re-capture on this side
+// (see load() below), never to corruption.
 //
 // Thread-safety: every member is thread- and process-safe. Writes go
 // through a temp file + atomic rename (concurrent writers of the same
 // digest produce identical content, so either rename winning is correct);
 // a load that finds the file vanished mid-read — another thread or
-// process evicted it — reports a MISS, never an error. The hit/miss/
-// write/eviction counters are atomic (lock-free, TSan-clean); the LRU
-// index and pin table share one mutex that is never held across file I/O
-// except during eviction deletes and the re-stat of entries whose size
-// could not be determined when they were indexed.
+// process evicted it — reports a MISS, never an error (opt::read_verified).
+// The hit/miss/write counters are atomic (lock-free, TSan-clean); one
+// mutex guards the budget index (LRU order, sizes, pins, eviction totals)
+// and is never held across file I/O except during eviction deletes and
+// the re-stat of entries whose size could not be determined when they
+// were indexed.
 //
 // Storage: all blob I/O and reopen indexing go through an
-// opt::StoreBackend (opt/store_backend.hpp). The directory constructors
-// build a DirBackend (bit-compatible with the historical layout); the
+// opt::StoreBackend (opt/store_backend.hpp). The directory constructor
+// builds a DirBackend (bit-compatible with the historical layout); the
 // backend constructor composes anything else — a MemBackend for
 // ephemeral stores, a TieredBackend for a local L1 over a fleet-shared
 // L2 (whose per-tier counters surface through Stats::tiers). The store
@@ -55,13 +56,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 
 #include "opt/store_backend.hpp"
+#include "opt/store_policy.hpp"
 #include "opt/trace.hpp"
 
 namespace cms::opt {
@@ -85,18 +86,9 @@ class TraceStore {
   /// Byte/entry budget of a read-write store; 0 means unlimited. Enforced
   /// after every save() and on demand by gc() — never below what the
   /// pinned entries occupy.
-  struct Capacity {
-    std::uint64_t max_bytes = 0;
-    std::uint64_t max_entries = 0;
-
-    bool unlimited() const { return max_bytes == 0 && max_entries == 0; }
-  };
-
+  using Capacity = opt::Capacity;
   /// What one eviction pass (gc() or a post-save enforcement) removed.
-  struct GcResult {
-    std::uint64_t evicted_entries = 0;
-    std::uint64_t evicted_bytes = 0;
-  };
+  using GcResult = opt::GcResult;
 
   /// Keeps a digest's entry resident while alive (refcounted; move-only).
   /// Destruction unpins; a default-constructed Pin holds nothing.
@@ -128,14 +120,12 @@ class TraceStore {
   /// any existing entries (LRU order seeded from file mtimes, ties by
   /// digest). Throws std::runtime_error when a read-write store
   /// directory cannot be created.
-  explicit TraceStore(std::string dir, bool read_only = false);
-  TraceStore(std::string dir, bool read_only, Capacity capacity);
+  explicit TraceStore(std::string dir, bool read_only = false,
+                      Capacity capacity = Capacity());
   /// Open over an explicit backend (mem, tiered, ...); same indexing.
   /// Throws std::invalid_argument on a null backend.
   explicit TraceStore(std::shared_ptr<StoreBackend> backend,
-                      bool read_only = false);
-  TraceStore(std::shared_ptr<StoreBackend> backend, bool read_only,
-             Capacity capacity);
+                      bool read_only = false, Capacity capacity = Capacity());
 
   const std::string& dir() const { return dir_; }
   const std::shared_ptr<StoreBackend>& backend() const { return backend_; }
@@ -176,24 +166,7 @@ class TraceStore {
   Stats stats() const;
 
  private:
-  struct Entry {
-    /// On-disk size; 0 means UNKNOWN (the stat at index time failed —
-    /// e.g. a concurrent eviction raced it). Unknown sizes are re-statted
-    /// by the next touch that stats successfully and, in bulk, by
-    /// restat_unknown_locked() before any budget decision, so the byte
-    /// accounting converges instead of freezing at an undercount.
-    std::uint64_t bytes = 0;
-    std::uint64_t last_use = 0;  // logical clock, larger = more recent
-  };
-
-  void touch_locked(const std::string& digest, std::uint64_t bytes) const;
-  void erase_locked(const std::string& digest) const;
-  void restat_unknown_locked() const;
-  GcResult enforce_budget_locked() const;
   void unpin(const std::string& digest) const;
-  /// Error-message context for decode failures: the entry's path when
-  /// the backend has one, otherwise a digest-based label.
-  std::string context_of(const std::string& digest) const;
 
   std::shared_ptr<StoreBackend> backend_;
   std::string dir_;  // "" when constructed over a pathless backend
@@ -203,15 +176,9 @@ class TraceStore {
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> writes_{0};
-  mutable std::atomic<std::uint64_t> evictions_{0};
-  mutable std::atomic<std::uint64_t> evicted_bytes_{0};
 
-  mutable std::mutex mu_;  // guards entries_, pins_, clock_, bytes_total_
-  mutable std::map<std::string, Entry> entries_;
-  mutable std::map<std::string, std::uint32_t> pins_;  // digest -> refcount
-  mutable std::uint64_t clock_ = 0;
-  mutable std::uint64_t bytes_total_ = 0;
-  mutable std::uint64_t unknown_sizes_ = 0;  // entries with bytes == 0
+  mutable std::mutex mu_;  // guards index_
+  mutable BudgetIndex index_;
 };
 
 }  // namespace cms::opt

@@ -387,36 +387,23 @@ class PlanningService {
   std::unordered_map<std::string, std::shared_ptr<SweepState>> sweeps_;
 };
 
-/// Build the service's store per the shared CLI flags (`--trace-dir`,
-/// `--trace`, `--service-budget-bytes`, `--service-budget-entries` — see
-/// core/cli.hpp): null when `dir` is empty or `mode` is kOff, otherwise a
-/// store rooted at `dir` (read-only for kReadOnly) with the given
-/// capacity budget.
-std::shared_ptr<opt::TraceStore> open_service_store(
-    const std::string& dir, core::TraceMode mode,
-    opt::TraceStore::Capacity capacity = opt::TraceStore::Capacity());
-
-/// Same, over an explicit backend (e.g. a TieredBackend composed by
-/// core::open_store_backend, shared with the plan cache): null when
-/// `backend` is null or `mode` is kOff.
+/// Build the service's store per the shared CLI flags (`--trace`,
+/// `--service-budget-bytes`, `--service-budget-entries` — see
+/// core/cli.hpp) over `backend` (core::open_store_backend composes it
+/// from `--trace-dir` and the far-tier flags, and shares it with the plan
+/// cache): null when `backend` is null or `mode` is kOff, otherwise a
+/// store (read-only for kReadOnly) with the given capacity budget.
 std::shared_ptr<opt::TraceStore> open_service_store(
     std::shared_ptr<opt::StoreBackend> backend, core::TraceMode mode,
     opt::TraceStore::Capacity capacity = opt::TraceStore::Capacity());
 
 /// Build a plan cache per the shared CLI flags (`--plan-cache`,
 /// `--plan-cache-budget-bytes/-entries` — see core/cli.hpp): null for
-/// kOff; memory-only for kMemory; for kDisk the tier-2 entries live in
-/// `store_dir` (read-only when `trace_mode` is kReadOnly, memory-only
-/// when the dir is empty or the store is off). `budget` applies to each
+/// kOff; memory-only for kMemory; for kDisk tier 2 rides `backend`
+/// (typically the trace store's, so plans share its directory and L1/L2
+/// tiering; read-only when `trace_mode` is kReadOnly, memory-only when
+/// `backend` is null or `trace_mode` is kOff). `budget` applies to each
 /// tier.
-std::shared_ptr<opt::PlanCache> open_plan_cache(
-    core::PlanCacheMode mode, const std::string& store_dir,
-    core::TraceMode trace_mode,
-    opt::TraceStore::Capacity budget = opt::TraceStore::Capacity());
-
-/// Same, with tier 2 over an explicit backend (typically the one the
-/// trace store sits on, so plans ride the same L1/L2 tiering): memory-only
-/// when `backend` is null or `trace_mode` is kOff.
 std::shared_ptr<opt::PlanCache> open_plan_cache(
     core::PlanCacheMode mode, std::shared_ptr<opt::StoreBackend> backend,
     core::TraceMode trace_mode,

@@ -89,6 +89,16 @@ void expect_identical(const PlanCacheEntry& a, const PlanCacheEntry& b) {
   EXPECT_EQ(a.curvature_eps, b.curvature_eps);
 }
 
+/// A cache whose tier 2 is a DirBackend over `tmp`'s store directory; a
+/// fresh instance over the same directory models a new process.
+PlanCache::Config disk_config(const TempDir& tmp, bool read_only = false) {
+  PlanCache::Config cfg;
+  cfg.backend =
+      std::make_shared<DirBackend>(tmp.file("store"), /*create=*/!read_only);
+  cfg.read_only = read_only;
+  return cfg;
+}
+
 PlanKey sample_key() {
   PlanKey k;
   k.capture_digests = {"digest-b", "digest-a"};
@@ -197,15 +207,17 @@ TEST(PlanFormat, EncodeDecodeRoundTripsBitExactly) {
 
 TEST(PlanFormat, FileRoundTripsAndLeavesNoTempFiles) {
   TempDir tmp;
-  const std::string path = tmp.file("entry.cmsplan");
   const PlanCacheEntry original = sample_entry();
-  save_plan_entry(original, "k", path);
-  std::string digest;
-  const PlanCacheEntry loaded = load_plan_entry(path, &digest);
-  EXPECT_EQ(digest, "k");
-  expect_identical(original, loaded);
+  PlanCache(disk_config(tmp)).put("k", original);
+  // A fresh cache starts with a cold memory tier, so the hit decodes the
+  // file (and verifies the key embedded in it).
+  PlanCache reader(disk_config(tmp));
+  const auto loaded = reader.get("k");
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(reader.stats().disk_hits, 1u);
+  expect_identical(original, *loaded);
   std::size_t files = 0;
-  for (const auto& e : fs::directory_iterator(tmp.path)) {
+  for (const auto& e : fs::directory_iterator(tmp.file("store"))) {
     (void)e;
     ++files;
   }
@@ -254,11 +266,12 @@ TEST(PlanFormatFuzz, AppendedGarbageAndFileCorruptionAlwaysThrow) {
     EXPECT_THROW(decode_plan_entry(bytes.data(), bytes.size(), "<fuzz-app>"),
                  std::runtime_error);
   }
-  // Same property through the save/load file path (what the cache does).
+  // Same property through the cache's tier-2 files.
   TempDir tmp;
-  const std::string path = tmp.file("fuzz.cmsplan");
+  PlanCache writer(disk_config(tmp));
+  const std::string path = writer.path_of("k");
   for (int i = 0; i < 30; ++i) {
-    save_plan_entry(sample_entry(), "k", path);  // restore pristine
+    writer.put("k", sample_entry());  // restore pristine
     const auto size = fs::file_size(path);
     if (rng.chance(0.5)) {
       fs::resize_file(path, rng.below(size));  // strictly shorter
@@ -270,20 +283,23 @@ TEST(PlanFormatFuzz, AppendedGarbageAndFileCorruptionAlwaysThrow) {
       f.seekp(pos);
       f.put(static_cast<char>(orig ^ static_cast<int>(1 + rng.below(255))));
     }
-    EXPECT_THROW(load_plan_entry(path), std::runtime_error) << "round " << i;
+    // A fresh reader's memory tier is cold: get() decodes the file.
+    PlanCache reader(disk_config(tmp));
+    EXPECT_THROW(reader.get("k"), std::runtime_error) << "round " << i;
   }
 }
 
 TEST(PlanFormat, FutureSchemaVersionThrowsWithPath) {
   TempDir tmp;
-  const std::string path = tmp.file("future.cmsplan");
-  save_plan_entry(sample_entry(), "k", path);
+  PlanCache(disk_config(tmp)).put("k", sample_entry());
+  PlanCache reader(disk_config(tmp));
+  const std::string path = reader.path_of("k");
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(8);  // version field sits right after the 8-byte magic
   f.put(99);
   f.close();
   try {
-    load_plan_entry(path);
+    reader.get("k");
     FAIL() << "expected a version error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
@@ -312,7 +328,7 @@ TEST(PlanCacheMemory, MissThenHitServesTheSameEntry) {
 
 TEST(PlanCacheMemory, LruEvictionUnderEntryBudget) {
   PlanCache::Config cfg;
-  cfg.memory.max_entries = 2;
+  cfg.budget.max_entries = 2;
   PlanCache cache(cfg);
   cache.put("a", sample_entry(0));
   cache.put("b", sample_entry(1));
@@ -331,13 +347,13 @@ TEST(PlanCacheMemory, ByteBudgetEvictsUntilItFits) {
   const std::uint64_t one =
       encode_plan_entry(sample_entry(), "a").size();
   PlanCache::Config cfg;
-  cfg.memory.max_bytes = one * 2;  // room for two entries, not three
+  cfg.budget.max_bytes = one * 2;  // room for two entries, not three
   PlanCache cache(cfg);
   cache.put("a", sample_entry(0));
   cache.put("b", sample_entry(1));
   cache.put("c", sample_entry(2));
   const PlanCache::Stats st = cache.stats();
-  EXPECT_LE(st.bytes, cfg.memory.max_bytes);
+  EXPECT_LE(st.bytes, cfg.budget.max_bytes);
   EXPECT_LT(st.entries, 3u);
   EXPECT_EQ(cache.get("a"), nullptr);  // the LRU victim
 }
@@ -346,7 +362,7 @@ TEST(PlanCacheMemory, EvictionNeverInvalidatesAHeldEntry) {
   // Pin-during-read: a reader's shared_ptr keeps the entry alive across
   // any number of evictions — the cache only drops ITS reference.
   PlanCache::Config cfg;
-  cfg.memory.max_entries = 1;
+  cfg.budget.max_entries = 1;
   PlanCache cache(cfg);
   cache.put("a", sample_entry(5));
   const std::shared_ptr<const PlanCacheEntry> held = cache.get("a");
@@ -357,13 +373,6 @@ TEST(PlanCacheMemory, EvictionNeverInvalidatesAHeldEntry) {
 }
 
 // ---- Disk tier ----
-
-PlanCache::Config disk_config(const TempDir& tmp, bool read_only = false) {
-  PlanCache::Config cfg;
-  cfg.dir = tmp.file("store");
-  cfg.read_only = read_only;
-  return cfg;
-}
 
 TEST(PlanCacheDisk, FreshInstanceWarmHitsAcrossProcesses) {
   TempDir tmp;
@@ -438,7 +447,7 @@ TEST(PlanCacheDisk, ReadOnlyNeverWrites) {
 TEST(PlanCacheDisk, DiskBudgetEvictsLruFiles) {
   TempDir tmp;
   PlanCache::Config cfg = disk_config(tmp);
-  cfg.disk.max_entries = 2;
+  cfg.budget.max_entries = 2;
   PlanCache cache(cfg);
   cache.put("a", sample_entry(0));
   cache.put("b", sample_entry(1));
@@ -447,8 +456,8 @@ TEST(PlanCacheDisk, DiskBudgetEvictsLruFiles) {
   EXPECT_TRUE(fs::exists(cache.path_of("b")));
   EXPECT_TRUE(fs::exists(cache.path_of("c")));
   EXPECT_EQ(cache.stats().disk_entries, 2u);
-  // The memory tier is unlimited here: "a" still serves from tier 1.
-  EXPECT_NE(cache.get("a"), nullptr);
+  // The budget bounds the memory tier too: "a" is gone from both tiers.
+  EXPECT_EQ(cache.get("a"), nullptr);
 }
 
 TEST(PlanCacheDisk, ReopenedCacheIndexesExistingEntries) {
@@ -460,12 +469,58 @@ TEST(PlanCacheDisk, ReopenedCacheIndexesExistingEntries) {
     w.put("c", sample_entry(2));
   }
   PlanCache::Config cfg = disk_config(tmp);
-  cfg.disk.max_entries = 2;
+  cfg.budget.max_entries = 2;
   PlanCache cache(cfg);
   EXPECT_EQ(cache.stats().disk_entries, 3u);  // indexed, over budget
   const TraceStore::GcResult gr = cache.gc();
   EXPECT_EQ(gr.evicted_entries, 1u);
   EXPECT_EQ(cache.stats().disk_entries, 2u);
+}
+
+TEST(PlanCacheDisk, FailedUnlinkKeepsTheEntryAccounted) {
+  // Mirrors TraceStoreCapacity.FailedUnlinkKeepsTheEntryAccounted for
+  // .cmsplan entries: a tier-2 removal that fails (the entry's path is a
+  // NON-EMPTY directory, which unlinks with ENOTEMPTY) keeps the entry
+  // indexed and its bytes counted, and eviction falls through to the
+  // next candidate.
+  TempDir tmp;
+  PlanCache::Config cfg = disk_config(tmp);
+  cfg.budget.max_entries = 1;
+  PlanCache cache(cfg);
+  cache.put("a", sample_entry(0));
+  const std::uint64_t a_bytes = cache.stats().disk_bytes;
+
+  // Swap a's file for a non-empty directory: the next unlink fails.
+  fs::remove(cache.path_of("a"));
+  fs::create_directories(fs::path(cache.path_of("a")) / "sub");
+
+  cache.put("b", sample_entry(1));
+  // "a" was the LRU victim but could not be unlinked -> kept (and still
+  // counted); enforcement fell through to "b", the only other candidate.
+  const PlanCache::Stats st = cache.stats();
+  EXPECT_EQ(st.disk_entries, 1u);
+  EXPECT_EQ(st.disk_bytes, a_bytes);
+  EXPECT_EQ(st.disk_evictions, 1u);  // b, not a
+  EXPECT_TRUE(fs::exists(cache.path_of("a")));
+  EXPECT_FALSE(fs::exists(cache.path_of("b")));
+}
+
+TEST(PlanCacheDisk, AlreadyVanishedVictimIsNotCountedAsEvicted) {
+  TempDir tmp;
+  PlanCache::Config cfg = disk_config(tmp);
+  cfg.budget.max_entries = 1;
+  PlanCache cache(cfg);
+  cache.put("a", sample_entry(0));
+  fs::remove(cache.path_of("a"));  // another process pruned it already
+  cache.put("b", sample_entry(1));
+  // The index entry for "a" is dropped (resynced), but no tier-2
+  // eviction — and no freed bytes — are claimed for a file we never
+  // removed.
+  const PlanCache::Stats st = cache.stats();
+  EXPECT_EQ(st.disk_evictions, 0u);
+  EXPECT_EQ(st.disk_evicted_bytes, 0u);
+  EXPECT_EQ(st.disk_entries, 1u);
+  EXPECT_TRUE(fs::exists(cache.path_of("b")));
 }
 
 TEST(PlanCacheDisk, CoexistsWithATraceStoreInOneDirectory) {
@@ -572,7 +627,7 @@ TEST_P(PlanCacheAnyBackend, ReadOnlyNeverWrites) {
 
 TEST_P(PlanCacheAnyBackend, DiskBudgetEvictsLruEntries) {
   PlanCache::Config cfg = config();
-  cfg.disk.max_entries = 2;
+  cfg.budget.max_entries = 2;
   PlanCache cache(cfg);
   cache.put("a", sample_entry(0));
   cache.put("b", sample_entry(1));
@@ -581,8 +636,8 @@ TEST_P(PlanCacheAnyBackend, DiskBudgetEvictsLruEntries) {
   EXPECT_TRUE(entry_exists("b"));
   EXPECT_TRUE(entry_exists("c"));
   EXPECT_EQ(cache.stats().disk_entries, 2u);
-  // The memory tier is unlimited here: "a" still serves from tier 1.
-  EXPECT_NE(cache.get("a"), nullptr);
+  // The budget bounds the memory tier too: "a" is gone from both tiers.
+  EXPECT_EQ(cache.get("a"), nullptr);
 }
 
 TEST_P(PlanCacheAnyBackend, ReopenedCacheIndexesExistingEntries) {
@@ -593,7 +648,7 @@ TEST_P(PlanCacheAnyBackend, ReopenedCacheIndexesExistingEntries) {
     w.put("c", sample_entry(2));
   }
   PlanCache::Config cfg = config();
-  cfg.disk.max_entries = 2;
+  cfg.budget.max_entries = 2;
   PlanCache cache(cfg);
   EXPECT_EQ(cache.stats().disk_entries, 3u);  // indexed, over budget
   const TraceStore::GcResult gr = cache.gc();
@@ -602,16 +657,22 @@ TEST_P(PlanCacheAnyBackend, ReopenedCacheIndexesExistingEntries) {
 }
 
 TEST_P(PlanCacheAnyBackend, EvictionCountersSplitPerTier) {
+  {
+    PlanCache writer(config());
+    writer.put("a", sample_entry(0));
+    writer.put("b", sample_entry(1));
+  }
   PlanCache::Config cfg = config();
-  cfg.memory.max_entries = 1;
-  cfg.disk.max_entries = 2;
+  cfg.budget.max_entries = 2;
+  // A restart: tier 2 indexes a and b, tier 1 starts empty, so the same
+  // budget evicts at a different pace per tier.
   PlanCache cache(cfg);
-  cache.put("a", sample_entry(0));
-  cache.put("b", sample_entry(1));
   cache.put("c", sample_entry(2));
+  cache.put("d", sample_entry(3));
+  cache.put("e", sample_entry(4));
   const PlanCache::Stats st = cache.stats();
-  EXPECT_EQ(st.mem_evictions, 2u);   // the memory tier holds 1 of 3
-  EXPECT_EQ(st.disk_evictions, 1u);  // tier 2 holds 2 of 3
+  EXPECT_EQ(st.mem_evictions, 1u);   // c: tier 1 holds d, e
+  EXPECT_EQ(st.disk_evictions, 3u);  // a, b, c: tier 2 holds d, e
   EXPECT_EQ(st.evictions, st.mem_evictions + st.disk_evictions);
   EXPECT_GT(st.mem_evicted_bytes, 0u);
   EXPECT_GT(st.disk_evicted_bytes, 0u);
@@ -656,8 +717,8 @@ TEST(PlanCacheTiered, FreshL1AnswersFromSharedL2ByReadThrough) {
 // ---- Concurrency stress (mirrors TraceStoreStress) ----
 
 TEST(PlanCacheStress, ConcurrentGetsPutsGcStayConsistent) {
-  // 8 threads hammer one disk-backed cache with overlapping keys under
-  // tight budgets on both tiers: gets, puts and gc all interleave. The
+  // 8 threads hammer one disk-backed cache with overlapping keys under a
+  // tight budget on both tiers: gets, puts and gc all interleave. The
   // invariants: no call throws, the atomic counters add up exactly
   // (hits + misses == gets, inserts == puts), and every served or
   // surviving entry is bit-identical to its canonical value (eviction
@@ -667,8 +728,7 @@ TEST(PlanCacheStress, ConcurrentGetsPutsGcStayConsistent) {
   constexpr int kOps = 120;
   constexpr std::uint64_t kKeys = 6;
   PlanCache::Config cfg = disk_config(tmp);
-  cfg.memory.max_entries = 3;
-  cfg.disk.max_entries = 4;
+  cfg.budget.max_entries = 3;
   PlanCache cache(cfg);
 
   const auto key_of = [](std::uint64_t k) {
@@ -713,7 +773,7 @@ TEST(PlanCacheStress, ConcurrentGetsPutsGcStayConsistent) {
   EXPECT_EQ(st.inserts, puts.load());
   cache.gc();
   EXPECT_LE(cache.stats().entries, 3u);
-  EXPECT_LE(cache.stats().disk_entries, 4u);
+  EXPECT_LE(cache.stats().disk_entries, 3u);
   for (std::uint64_t k = 0; k < kKeys; ++k)
     if (const auto hit = cache.get(key_of(k)))
       expect_identical(*hit, sample_entry(k));

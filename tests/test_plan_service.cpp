@@ -435,7 +435,7 @@ TEST(PlanService, PlanCacheDiskTierSurvivesProcessRestart) {
   TempDir tmp;
   const auto disk_cache = [&] {
     opt::PlanCache::Config cfg;
-    cfg.dir = tmp.store_dir();
+    cfg.backend = std::make_shared<opt::DirBackend>(tmp.store_dir());
     return std::make_shared<opt::PlanCache>(std::move(cfg));
   };
   PlanRequest req;

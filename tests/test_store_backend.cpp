@@ -13,13 +13,15 @@
 // suite: server gone mid-conversation, garbage and corrupted response
 // frames, connection refused, stale-pool recovery across a server
 // restart — and the flapping-L2 stress re-runs with the network in the
-// loop, same counter algebra.
+// loop, same counter algebra. The blob protocol itself must refuse any
+// peer digest that could name a file outside the daemon's export.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -605,6 +607,58 @@ TEST(TieredBackend, DescribeNamesBothTiers) {
   const auto l2 = std::make_shared<MemBackend>();
   TieredBackend tiered(l1, l2);
   EXPECT_EQ(tiered.describe(), "tiered(dir:" + tmp.file("near") + ", mem)");
+}
+
+// ---- Blob protocol: peer-supplied digests stay inside the export ----
+
+TEST(BlobProtocol, DigestsThatCouldLeaveTheExportAreRefused) {
+  // The daemon's DirBackend joins the request digest onto its directory,
+  // so a digest that is not a plain token must be refused before it
+  // reaches the backend. Sentinel entries sit where a traversal would
+  // land: a successful get/stat/remove would read or delete them, a put
+  // would overwrite them.
+  TempDir tmp;
+  DirBackend exported(tmp.file("export"));
+  DirBackend outside(tmp.path.string());  // the export's parent
+  for (const char* sentinel : {"escaped", "absolute"})
+    outside.put(BlobKind::kTrace, sentinel, blob_of("outside"));
+
+  for (const std::string& digest :
+       {std::string("../escaped"), tmp.file("absolute"), std::string("a/b"),
+        std::string(".."), std::string()})
+    for (const BlobOp op :
+         {BlobOp::kGet, BlobOp::kPut, BlobOp::kStat, BlobOp::kRemove}) {
+      BlobRequest req;
+      req.op = op;
+      req.kind = BlobKind::kTrace;
+      req.digest = digest;
+      if (op == BlobOp::kPut) req.bytes = blob_of("planted");
+      const BlobResponse resp = decode_blob_response(handle_blob_request(
+          exported, encode_blob_request(req), /*writable=*/true));
+      EXPECT_EQ(resp.status, BlobStatus::kError)
+          << "op " << static_cast<int>(op) << " digest '" << digest << "'";
+    }
+
+  // Nothing appeared, vanished or changed: the export is still empty and
+  // the sentinels are the only files outside it.
+  std::vector<std::string> files;
+  for (const auto& e : fs::recursive_directory_iterator(tmp.path))
+    if (!e.is_directory()) files.push_back(e.path().string());
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{tmp.file("absolute.cmstrace"),
+                                             tmp.file("escaped.cmstrace")}));
+  for (const char* sentinel : {"escaped", "absolute"})
+    EXPECT_EQ(outside.get(BlobKind::kTrace, sentinel), blob_of("outside"))
+        << sentinel;
+
+  // Ops that address no blob carry an empty digest and still work.
+  for (const BlobOp op : {BlobOp::kPing, BlobOp::kList}) {
+    BlobRequest req;
+    req.op = op;
+    const BlobResponse resp = decode_blob_response(
+        handle_blob_request(exported, encode_blob_request(req)));
+    EXPECT_EQ(resp.status, BlobStatus::kOk) << static_cast<int>(op);
+  }
 }
 
 // ---- NetBackend: endpoint parsing and fault injection ----

@@ -1,9 +1,9 @@
-// Tests for the trace file format (opt/trace.hpp encode/save/load) and
-// the content-addressed TraceStore (opt/trace_store.hpp): exact round
-// trips, every failure path of the on-disk format (truncation, bad magic,
-// future schema version, checksum mismatch — all std::runtime_error with
-// the offending path), digest keying, and warm-starting Experiment
-// profiling from the store.
+// Tests for the trace file format (opt/trace.hpp encode/decode) and the
+// content-addressed TraceStore (opt/trace_store.hpp): exact round trips,
+// every failure path of the on-disk format as the store reads it
+// (truncation, bad magic, future schema version, checksum mismatch — all
+// std::runtime_error with the offending path), digest keying, and
+// warm-starting Experiment profiling from the store.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -122,16 +122,15 @@ TEST(TraceFormat, EncodeDecodeRoundTripsExactly) {
 
 TEST(TraceFormat, FileRoundTripsExactly) {
   TempDir tmp;
-  const std::string path = tmp.file("cap.cmstrace");
+  const TraceStore store(tmp.file("store"));
   const CaptureRun original = sample_capture();
-  save_capture(original, "abc", path);
-  std::string digest;
-  const CaptureRun loaded = load_capture(path, &digest);
-  EXPECT_EQ(digest, "abc");
-  expect_identical(original, loaded);
+  store.save("abc", original);
+  const auto loaded = store.load("abc");  // verifies the embedded digest
+  ASSERT_TRUE(loaded.has_value());
+  expect_identical(original, *loaded);
   // No temp files left behind.
   std::size_t files = 0;
-  for (const auto& e : fs::directory_iterator(tmp.path)) {
+  for (const auto& e : fs::directory_iterator(tmp.file("store"))) {
     (void)e;
     ++files;
   }
@@ -140,45 +139,49 @@ TEST(TraceFormat, FileRoundTripsExactly) {
 
 TEST(TraceFormat, TruncatedFileThrowsWithPath) {
   TempDir tmp;
-  const std::string path = tmp.file("truncated.cmstrace");
-  save_capture(sample_capture(), "d", path);
+  const TraceStore store(tmp.file("store"));
+  store.save("d", sample_capture());
+  const std::string path = store.path_of("d");
   const auto full_size = fs::file_size(path);
   // Cut in the middle of the payload AND down to less than a header.
   for (const std::uintmax_t keep : {full_size / 2, std::uintmax_t{5}}) {
     fs::resize_file(path, keep);
-    expect_error_mentioning([&] { load_capture(path); }, path);
+    expect_error_mentioning([&] { store.load("d"); }, path);
   }
 }
 
 TEST(TraceFormat, BadMagicThrowsWithPath) {
   TempDir tmp;
-  const std::string path = tmp.file("notatrace.cmstrace");
-  save_capture(sample_capture(), "d", path);
+  const TraceStore store(tmp.file("store"));
+  store.save("d", sample_capture());
+  const std::string path = store.path_of("d");
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   f.put('X');  // clobber the first magic byte
   f.close();
-  expect_error_mentioning([&] { load_capture(path); }, path);
-  expect_error_mentioning([&] { load_capture(path); }, "magic");
+  expect_error_mentioning([&] { store.load("d"); }, path);
+  expect_error_mentioning([&] { store.load("d"); }, "magic");
 }
 
 TEST(TraceFormat, FutureSchemaVersionThrowsWithPath) {
   TempDir tmp;
-  const std::string path = tmp.file("future.cmstrace");
-  save_capture(sample_capture(), "d", path);
+  const TraceStore store(tmp.file("store"));
+  store.save("d", sample_capture());
+  const std::string path = store.path_of("d");
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(8);   // version field sits right after the 8-byte magic
   f.put(99);    // little-endian low byte -> version 99
   f.close();
   // Version is diagnosed BEFORE the checksum: a future format may
   // checksum differently, and "please upgrade" beats "corrupt file".
-  expect_error_mentioning([&] { load_capture(path); }, path);
-  expect_error_mentioning([&] { load_capture(path); }, "version");
+  expect_error_mentioning([&] { store.load("d"); }, path);
+  expect_error_mentioning([&] { store.load("d"); }, "version");
 }
 
 TEST(TraceFormat, ChecksumMismatchThrowsWithPath) {
   TempDir tmp;
-  const std::string path = tmp.file("bitrot.cmstrace");
-  save_capture(sample_capture(), "d", path);
+  const TraceStore store(tmp.file("store"));
+  store.save("d", sample_capture());
+  const std::string path = store.path_of("d");
   const auto size = fs::file_size(path);
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekg(static_cast<std::streamoff>(size / 2));
@@ -186,8 +189,8 @@ TEST(TraceFormat, ChecksumMismatchThrowsWithPath) {
   f.seekp(static_cast<std::streamoff>(size / 2));
   f.put(static_cast<char>(orig ^ 0x40));  // flip one payload bit
   f.close();
-  expect_error_mentioning([&] { load_capture(path); }, path);
-  expect_error_mentioning([&] { load_capture(path); }, "checksum");
+  expect_error_mentioning([&] { store.load("d"); }, path);
+  expect_error_mentioning([&] { store.load("d"); }, "checksum");
 }
 
 TEST(TraceStore, MissReturnsNulloptAndCounts) {
@@ -289,13 +292,14 @@ TEST(TraceFormatFuzz, AppendedGarbageAlwaysThrows) {
 }
 
 TEST(TraceFormatFuzz, FileTruncationsAndMutationsAlwaysThrow) {
-  // Same property through the save/load file path (what the store does).
+  // Same property through the store's files.
   TempDir tmp;
-  const std::string path = tmp.file("fuzz.cmstrace");
+  const TraceStore store(tmp.file("store"));
+  const std::string path = store.path_of("d");
   const CaptureRun original = sample_capture();
   Rng rng(0xF17Eull);
   for (int i = 0; i < 30; ++i) {
-    save_capture(original, "d", path);  // restore pristine
+    store.save("d", original);  // restore pristine
     const auto size = fs::file_size(path);
     if (rng.chance(0.5)) {
       fs::resize_file(path, rng.below(size));  // strictly shorter
@@ -308,7 +312,7 @@ TEST(TraceFormatFuzz, FileTruncationsAndMutationsAlwaysThrow) {
       f.put(static_cast<char>(orig ^
                               static_cast<int>(1 + rng.below(255))));
     }
-    EXPECT_THROW(load_capture(path), std::runtime_error) << "round " << i;
+    EXPECT_THROW(store.load("d"), std::runtime_error) << "round " << i;
   }
 }
 
@@ -428,9 +432,11 @@ TEST(TraceStoreCapacity, UnknownEntrySizeIsReStattedNotFrozen) {
   EXPECT_EQ(store.stats().entries, 2u);
   EXPECT_EQ(store.stats().bytes, a_bytes);  // unknown contributes nothing
 
-  // The path becomes a real entry (what a racing writer's rename does).
+  // The path becomes a real entry (what a racing writer's rename does),
+  // written behind the store's index so only the re-stat can learn it.
   fs::remove(store.path_of("ghost"));
-  save_capture(capture_numbered(7), "ghost", store.path_of("ghost"));
+  store.backend()->put(BlobKind::kTrace, "ghost",
+                       encode_capture(capture_numbered(7), "ghost"));
   store.gc();  // re-stats unknown-size entries before any budget decision
   EXPECT_EQ(store.stats().bytes,
             a_bytes + fs::file_size(store.path_of("ghost")));
