@@ -16,11 +16,15 @@
 // Kernel-comparison mode (--compare-kernels): capture once per scenario,
 // then time the REPLAY HALF ALONE under every engine — full simulation,
 // the legacy per-size loop, and the fused kernel with each tag-compare
-// path — and verify every profile against the per-size reference:
+// path — and verify every profile against the per-size reference.
+// `lanes` counts (stream, grid point) pairs and `lanes_replayed` those
+// the fused kernels replay event by event; the rest never evict and take
+// their stream's first-touch counts.
 //
 //   ./micro_replay --compare-kernels [--jobs N]
 //   {"bench": "micro_replay", "mode": "compare-kernels", "scenarios": [
 //    {"scenario": "jpeg-canny-dense", "events": 123456, "grid_points": 64,
+//     "lanes": 2304, "lanes_replayed": 153,
 //     "engines": [{"kernel": "fullsim", ...},
 //                 {"kernel": "persize", "ms": ..., "speedup_vs_persize": 1.0,
 //                  "identical": true},
@@ -133,11 +137,23 @@ bool compare_kernels(unsigned jobs,
     const double persize_ms = wall_ms(
         [&] { ref = opt::replay_profile(per_size, l2, l2_seed, surcharge); });
 
+    // Which lanes replay does not depend on the kernel.
+    std::size_t lanes = 0, lanes_replayed = 0;
+    for (const opt::MultiReplayJob& job : fused) {
+      opt::MultiReplay mr(*job.capture, job.points, l2, l2_seed,
+                          opt::ReplayKernel::kScalar);
+      for (std::size_t st = 0; st < mr.num_streams(); ++st)
+        mr.replay_stream(st);
+      lanes += mr.lanes();
+      lanes_replayed += mr.lanes_replayed();
+    }
+
     std::printf("%s{\"scenario\": \"%s\", \"events\": %llu, "
-                "\"grid_points\": %zu, \"engines\": [",
+                "\"grid_points\": %zu, \"lanes\": %zu, "
+                "\"lanes_replayed\": %zu, \"engines\": [",
                 s ? ", " : "", names[s].c_str(),
                 static_cast<unsigned long long>(events),
-                cfg.profile_grid.size());
+                cfg.profile_grid.size(), lanes, lanes_replayed);
 
     // Full simulation first: the outermost reference (and the cost the
     // whole capture/replay machinery avoids).

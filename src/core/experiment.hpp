@@ -78,7 +78,7 @@ struct ExperimentConfig {
   unsigned jobs = 1;
 
   /// Replay engine of kTraceReplay profiling (opt/replay_kernel_mode.hpp).
-  /// Every kernel yields bit-identical profiles; kAuto picks the fastest
+  /// Every kernel yields bit-identical profiles; kAuto picks the widest
   /// fused path the CPU supports, kPerSize keeps the legacy
   /// one-cache-per-size loop (the reference the fused kernels are
   /// verified against).

@@ -13,6 +13,15 @@
 // compare), a per-lane kRandom replacement counter, per-lane miss
 // counters and a per-(task-slot, lane) demand-miss matrix.
 //
+// Most lanes never evict: a stream touches few distinct lines compared
+// with the sets most grid points give it. So the decode also collects
+// the stream's first-touch outcome — the misses (and per-task demand
+// misses) it gets when nothing is ever evicted — and the lines that
+// become resident. A lane where no set receives more than `ways` of
+// those lines always finds an invalid way to fill, so it never picks a
+// victim under any replacement policy and its counters are exactly the
+// first-touch ones. Only the other lanes run the hot loop below.
+//
 // Bit-identity contract: every kernel variant produces fragments whose
 // fold is MissProfile::identical to the per-size path's, because the
 // kernel replicates mem::SetAssocCache outcome semantics exactly (see
@@ -53,7 +62,7 @@ bool have_sse4_kernel();
 bool have_avx2_kernel();
 
 /// Map a requested kernel to the one that will actually execute:
-/// kAuto picks the best fused variant the build AND the executing CPU
+/// kAuto picks the widest fused variant the build AND the executing CPU
 /// support (avx2 > sse4 > scalar); an explicit SIMD request that the
 /// build or CPU cannot honor degrades to kScalar (silently — output is
 /// bit-identical either way, so the only observable difference is
@@ -106,11 +115,21 @@ class MultiReplay {
 
   std::size_t num_streams() const { return capture_->trace.streams.size(); }
   ReplayKernel kernel() const { return kernel_; }
+  /// Lanes of the replay: one per (stream, grid point).
+  std::size_t lanes() const { return num_streams() * points_.size(); }
 
-  /// Replay stream `s` through every grid point in one pass. Allocates
-  /// the stream's tag/stamp state locally (freed on return); only the
-  /// stream's miss/demand counter rows persist.
+  /// Count stream `s`'s misses at every grid point. One decode yields
+  /// the stream's first-touch outcome (nothing ever evicted); lanes
+  /// where no set receives more than `ways` of the stream's resident
+  /// lines take it as is, and only the rest replay event by event, in
+  /// one pass of the dispatched kernel. Allocates the replayed lanes'
+  /// tag/stamp state locally (freed on return); only the stream's
+  /// counter rows persist.
   void replay_stream(std::size_t s);
+
+  /// Lanes replayed event by event so far, the rest having taken their
+  /// first-touch counts. Read it after the replay_stream calls.
+  std::size_t lanes_replayed() const;
 
   /// One fragment per grid point, bit-identical to the per-size path.
   /// Call only after every stream has been replayed.
@@ -135,6 +154,9 @@ class MultiReplay {
   /// concurrent replay_stream calls never share a cache line of output;
   /// fragments() sums across streams (integer addition — order-free).
   std::vector<std::vector<std::uint64_t>> demand_;
+  /// replayed_[s]: stream s's lanes that replay_stream replayed exactly;
+  /// per stream for the same reason as the counter rows.
+  std::vector<std::size_t> replayed_;
 };
 
 /// Serial driver over fused jobs: replay every stream of every job, fold

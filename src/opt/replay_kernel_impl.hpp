@@ -44,6 +44,19 @@ struct LaneGeom {
   std::size_t base = 0;  // offset of this lane's block in tags/stamps
 };
 
+/// Set of `line_index` in lane `g`: the live (line % total) % client_sets
+/// chain. The chain works on 32-bit values (FastMod); line indices above
+/// 2^32 would need the slow path, but a capture's line index is bounded
+/// by the simulated address space (far below 2^32) — the guard checks the
+/// claim rather than assuming it.
+inline std::uint32_t set_index(const LaneGeom& g, std::uint64_t line_index) {
+  if (line_index <= 0xFFFFFFFFull)
+    return g.client_sets.mod(
+        g.total.mod(static_cast<std::uint32_t>(line_index)));
+  return static_cast<std::uint32_t>((line_index % g.total.d) %
+                                    g.client_sets.d);
+}
+
 /// Everything one stream pass needs, SoA. The tag encoding: a way holds
 /// `line_of(addr)/line_bytes + 1`, 0 = invalid — so the vectorized "which
 /// way matches" and "first invalid way" probes are the SAME compare with
@@ -70,6 +83,13 @@ struct StreamCtx {
   /// task-change events only; ids not in the table use the trailing
   /// trash slot (their demand misses are never read back).
   std::vector<TaskId> slot_ids;
+
+  /// Task slot of `task`: its position in slot_ids, else the trash slot.
+  std::size_t slot_of(TaskId task) const {
+    for (std::size_t s = 0; s < slot_ids.size(); ++s)
+      if (slot_ids[s] == task) return s;
+    return slot_ids.size();
+  }
 
   // State + output arrays, owned by the driver (replay_stream allocates
   // tags/stamps per stream and frees them after the pass; counters
@@ -126,26 +146,12 @@ void run_stream_generic(StreamCtx& ctx, FindWay find_way) {
     const bool count_demand = ctx.count_issuers && !ev.l1_writeback;
     if (ev.task != cur_task) {
       cur_task = ev.task;
-      cur_slot = trash_slot;
-      for (std::size_t s = 0; s < ctx.slot_ids.size(); ++s)
-        if (ctx.slot_ids[s] == cur_task) {
-          cur_slot = s;
-          break;
-        }
+      cur_slot = ctx.slot_of(cur_task);
     }
-    // The index chain works on 32-bit values (FastMod); line indices
-    // above 2^32 would need the slow path, but a capture's line index is
-    // bounded by the simulated address space (far below 2^32) — guarded
-    // here so the claim is checked, not assumed.
-    const bool fast = ev.line_index <= 0xFFFFFFFFull;
-    const auto line32 = static_cast<std::uint32_t>(ev.line_index);
 
     for (std::size_t l = 0; l < nlanes; ++l) {
       const LaneGeom& g = ctx.lanes[l];
-      const std::uint32_t idx =
-          fast ? g.client_sets.mod(g.total.mod(line32))
-               : static_cast<std::uint32_t>((ev.line_index % g.total.d) %
-                                            g.client_sets.d);
+      const std::uint32_t idx = set_index(g, ev.line_index);
       std::uint64_t* tags = ctx.tags + g.base +
                             static_cast<std::size_t>(idx) * ways;
       std::uint64_t* stamps = ctx.stamps + g.base +

@@ -13,7 +13,7 @@ namespace cms::opt {
 /// they differ only in wall-clock. See opt/replay_kernel.hpp for the
 /// fused-kernel contract and resolve_replay_kernel for dispatch.
 enum class ReplayKernel : std::uint8_t {
-  /// Best fused path the executing CPU supports: avx2 > sse4 > scalar.
+  /// Widest fused path the executing CPU supports: avx2 > sse4 > scalar.
   kAuto,
   /// Fused multi-size kernel, portable scalar tag compares. The
   /// reference the SIMD paths are checked against, and the only fused

@@ -179,9 +179,15 @@ core::Experiment PlanningService::build_experiment(
     const PlanRequest& req, core::AppFactory factory,
     core::ExperimentConfig cfg) const {
   if (!req.grid.empty()) {
-    for (const std::uint32_t sets : req.grid)
+    for (const std::uint32_t sets : req.grid) {
       if (sets == 0)
         throw std::invalid_argument("plan request grid contains size 0");
+      if (sets > kMaxGridSets)
+        throw std::invalid_argument(
+            "plan request grid size " + std::to_string(sets) +
+            " exceeds the limit of " + std::to_string(kMaxGridSets) +
+            " sets");
+    }
     // A duplicated size would Welford-accumulate the same (task, size)
     // point twice — the resulting statistics depend on how often the size
     // appears in the sweep, which both inflates run counts and breaks the

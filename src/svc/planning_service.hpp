@@ -94,13 +94,20 @@
 
 namespace cms::svc {
 
+/// Largest grid size a plan request may name, in sets: 256x the largest
+/// size (256) a built-in scenario or the repo benchmark sweeps. Every
+/// point's uniform plan gives each task that many sets, so an unbounded
+/// size would wrap the plan's u32 set total, and replay keeps
+/// sets x ways tag slots per replayed lane.
+inline constexpr std::uint32_t kMaxGridSets = 65536;
+
 /// One planning request. Only `scenario` is required; everything else
 /// overrides the registered spec (and, being part of the capture digest,
 /// transparently separates store entries per override).
 struct PlanRequest {
   std::string scenario;  // name in core::scenarios()
   /// Profiling grid (candidate partition sizes, in sets); empty keeps the
-  /// scenario's grid. Entries must be >= 1.
+  /// scenario's grid. Entries must be in [1, kMaxGridSets].
   std::vector<std::uint32_t> grid;
   /// Number of jitter seeds to profile (seeds 0..runs-1); one capture per
   /// seed.

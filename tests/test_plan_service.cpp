@@ -269,6 +269,25 @@ TEST(PlanService, FailuresComeBackAsErrorResponses) {
   EXPECT_FALSE(r2.ok);
   EXPECT_NE(r2.error.find("size 0"), std::string::npos) << r2.error;
 
+  // A size past kMaxGridSets would wrap the uniform plan's u32 set total
+  // (400000000 sets per task) and size replay state by it; the error
+  // names the value.
+  PlanRequest huge_grid;
+  std::string parse_err;
+  ASSERT_TRUE(parse_plan_request("mpeg2-tiny grid=400000000,1", huge_grid,
+                                 parse_err))
+      << parse_err;
+  const PlanResponse huge = service.plan(huge_grid);
+  EXPECT_FALSE(huge.ok);
+  EXPECT_NE(huge.error.find("grid size 400000000"), std::string::npos)
+      << huge.error;
+  huge_grid.grid = {1, kMaxGridSets + 1};
+  const PlanResponse past_limit = service.plan(huge_grid);
+  EXPECT_FALSE(past_limit.ok);
+  EXPECT_NE(past_limit.error.find(std::to_string(kMaxGridSets + 1)),
+            std::string::npos)
+      << past_limit.error;
+
   // An L2 override below one set would divide by zero in the cache model.
   PlanRequest tiny_l2;
   tiny_l2.scenario = "mpeg2-tiny";

@@ -4,8 +4,10 @@
 // built-in scenarios (LRU, counter-based kRandom, the dense 64-point
 // grid) and at several campaign worker counts; synthetic captures pin
 // the FIFO and write-through-no-allocate cache paths, the non-power-of-2
-// set counts the Lemire fast-mod handles, and the trace-to-L2 line-size
-// rescale; plus the runtime dispatch rules themselves.
+// set counts the Lemire fast-mod handles, the trace-to-L2 line-size
+// rescale, and the split between lanes that replay and lanes that take
+// their stream's first-touch counts; plus the runtime dispatch rules
+// themselves.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -162,29 +164,51 @@ std::shared_ptr<const PartitionPlan> synth_plan(const CaptureRun& c,
 // degenerate d=1 geometry.
 const std::vector<std::uint32_t> kSynthSizes = {1, 2, 3, 5, 8};
 
-MissProfile synth_reference(const CaptureRun& c, const mem::CacheConfig& l2) {
+MissProfile synth_reference(const CaptureRun& c, const mem::CacheConfig& l2,
+                            const std::vector<std::uint32_t>& sizes) {
   std::vector<ProfileFragment> frags;
-  for (std::size_t i = 0; i < kSynthSizes.size(); ++i)
-    frags.push_back(replay_fragment(c, *synth_plan(c, kSynthSizes[i]), l2,
-                                    kSeed, kSynthSizes[i], i, kSurcharge));
+  for (std::size_t i = 0; i < sizes.size(); ++i)
+    frags.push_back(replay_fragment(c, *synth_plan(c, sizes[i]), l2, kSeed,
+                                    sizes[i], i, kSurcharge));
   return fold_fragments(std::move(frags));
 }
 
-MissProfile synth_fused(const CaptureRun& c, const mem::CacheConfig& l2,
-                        ReplayKernel kernel) {
+struct FusedRun {
+  MissProfile profile;
+  std::size_t lanes = 0;
+  std::size_t lanes_replayed = 0;
+};
+
+FusedRun synth_fused(const CaptureRun& c, const mem::CacheConfig& l2,
+                     const std::vector<std::uint32_t>& sizes,
+                     ReplayKernel kernel) {
   std::vector<ReplayGridPoint> points;
-  for (std::size_t i = 0; i < kSynthSizes.size(); ++i)
-    points.push_back({synth_plan(c, kSynthSizes[i]), kSynthSizes[i], i});
+  for (std::size_t i = 0; i < sizes.size(); ++i)
+    points.push_back({synth_plan(c, sizes[i]), sizes[i], i});
   MultiReplay mr(c, std::move(points), l2, kSeed, kernel);
   for (std::size_t s = 0; s < mr.num_streams(); ++s) mr.replay_stream(s);
-  return fold_fragments(mr.fragments(kSurcharge));
+  return {fold_fragments(mr.fragments(kSurcharge)), mr.lanes(),
+          mr.lanes_replayed()};
 }
 
-void expect_synth_identity(const CaptureRun& c, const mem::CacheConfig& l2) {
-  const MissProfile ref = synth_reference(c, l2);
-  for (const ReplayKernel k : kFusedKernels)
-    EXPECT_TRUE(ref.identical(synth_fused(c, l2, k)))
+/// Every fused kernel against the per-size reference. Returns the lanes
+/// the kernels replayed exactly, which must not depend on the kernel.
+std::size_t expect_synth_identity(
+    const CaptureRun& c, const mem::CacheConfig& l2,
+    const std::vector<std::uint32_t>& sizes = kSynthSizes) {
+  const MissProfile ref = synth_reference(c, l2, sizes);
+  std::size_t replayed = 0;
+  for (const ReplayKernel k : kFusedKernels) {
+    const FusedRun run = synth_fused(c, l2, sizes, k);
+    EXPECT_TRUE(ref.identical(run.profile))
         << "kernel " << to_string(k) << " l2 " << l2.to_string();
+    EXPECT_EQ(run.lanes, c.trace.streams.size() * sizes.size());
+    if (k != kFusedKernels[0]) {
+      EXPECT_EQ(run.lanes_replayed, replayed) << "kernel " << to_string(k);
+    }
+    replayed = run.lanes_replayed;
+  }
+  return replayed;
 }
 
 TEST(ReplayKernelSynthetic, FifoReplacement) {
@@ -222,6 +246,107 @@ TEST(ReplayKernelSynthetic, LineBytesRescale) {
   l2.size_bytes = 16 * 1024;
   l2.ways = 4;
   expect_synth_identity(synth_capture(/*line_bytes=*/128), l2);
+}
+
+// Every lane above spans hundreds of lines in at most 8 sets x 4 ways,
+// so it evicts and replays. The capture below spans a few lines, so most
+// lanes never evict and take their stream's first-touch counts instead.
+
+/// A stream over a few `lines`: first one write to every other line (so
+/// under write-through-no-allocate those lines miss before their first
+/// read), then LCG-drawn accesses as in synth_stream. Lines from index
+/// `readable` on are only ever written, so no-allocate never caches them.
+ClientTrace span_stream(mem::ClientId client, std::uint64_t seed,
+                        const std::vector<std::uint64_t>& lines,
+                        std::size_t readable,
+                        const std::vector<TaskId>& issuers) {
+  ClientTrace t(client);
+  for (std::size_t i = 0; i < lines.size(); i += 2)
+    t.append(lines[i], AccessType::kWrite, false, issuers[i % issuers.size()]);
+  std::uint64_t x = seed;
+  for (int i = 0; i < 1500; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const std::size_t k = (x >> 33) % lines.size();
+    const bool write = k >= readable || ((x >> 13) & 3) == 0;
+    t.append(lines[k], write ? AccessType::kWrite : AccessType::kRead,
+             ((x >> 21) & 15) == 0, issuers[(x >> 5) % issuers.size()]);
+  }
+  return t;
+}
+
+std::vector<std::uint64_t> line_range(std::uint64_t n) {
+  std::vector<std::uint64_t> lines(n);
+  for (std::uint64_t i = 0; i < n; ++i) lines[i] = i;
+  return lines;
+}
+
+/// Lanes of synth_plan's 64-set total index a line by (line % 64) % sets.
+/// At 4 ways and kSpanSizes:
+///  * task 0 reads lines 0..11: its fullest set holds 12, 6, 4, 3, 3, 2
+///    lines, so it evicts at 1 and 2 sets only (3 sets: exactly `ways`);
+///  * task 1 reads lines 0..12: 13, 7, 5, 4, 3, 2, evicting at 1, 2 and
+///    3 sets (3 sets: `ways + 1`; 4 sets: exactly `ways`);
+///  * buffer 7 reads lines 0, 64, 128, 192 and only writes 256, all in
+///    set 0 at every size: 5 lines evict everywhere under
+///    write-allocate, while under no-allocate 4 resident lines never do.
+CaptureRun span_capture(std::uint32_t line_bytes = 64) {
+  CaptureRun c;
+  c.trace.line_bytes = line_bytes;
+  c.trace.streams.push_back(
+      span_stream(mem::ClientId::task(0), 11, line_range(12), 12, {0}));
+  c.trace.streams.push_back(
+      span_stream(mem::ClientId::task(1), 22, line_range(13), 13, {1}));
+  c.trace.streams.push_back(span_stream(mem::ClientId::buffer(7), 33,
+                                        {0, 64, 128, 192, 256}, 4,
+                                        {0, 1, 99}));
+  c.tasks = {{0, "t0", 1000, 5000, 800}, {1, "t1", 900, 4000, 700}};
+  return c;
+}
+
+const std::vector<std::uint32_t> kSpanSizes = {1, 2, 3, 4, 5, 8};
+constexpr std::size_t kSpanLanes = 3 * 6;
+constexpr std::size_t kSpanEvictingAllocate = 2 + 3 + 6;
+constexpr std::size_t kSpanEvictingNoAllocate = 2 + 3 + 0;
+
+mem::CacheConfig span_l2(mem::Replacement replacement,
+                         mem::WritePolicy write_policy) {
+  mem::CacheConfig l2;
+  l2.size_bytes = 16 * 1024;
+  l2.ways = 4;
+  l2.replacement = replacement;
+  l2.write_policy = write_policy;
+  return l2;
+}
+
+TEST(ReplayKernelFirstTouch, EvictingLanesReplayTheRestTakeFirstTouches) {
+  const CaptureRun c = span_capture();
+  for (const mem::Replacement r :
+       {mem::Replacement::kLru, mem::Replacement::kFifo,
+        mem::Replacement::kRandom}) {
+    const mem::CacheConfig allocate =
+        span_l2(r, mem::WritePolicy::kWriteBackAllocate);
+    EXPECT_EQ(expect_synth_identity(c, allocate, kSpanSizes),
+              kSpanEvictingAllocate)
+        << allocate.to_string();
+    const mem::CacheConfig no_allocate =
+        span_l2(r, mem::WritePolicy::kWriteThroughNoAllocate);
+    EXPECT_EQ(expect_synth_identity(c, no_allocate, kSpanSizes),
+              kSpanEvictingNoAllocate)
+        << no_allocate.to_string() << " no-allocate";
+  }
+}
+
+// A capture at another line size than the L2's indexes lanes by the
+// captured line but tags by the L2's, so its first touches differ per
+// lane: every lane replays.
+TEST(ReplayKernelFirstTouch, RescaledCaptureReplaysEveryLane) {
+  const CaptureRun c = span_capture(/*line_bytes=*/128);
+  EXPECT_EQ(expect_synth_identity(
+                c,
+                span_l2(mem::Replacement::kLru,
+                        mem::WritePolicy::kWriteBackAllocate),
+                kSpanSizes),
+            kSpanLanes);
 }
 
 TEST(ReplayKernelSynthetic, UnplannedClientThrows) {
