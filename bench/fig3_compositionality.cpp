@@ -7,6 +7,9 @@
 // number of misses relative to the overall simulated number of misses is
 // 2%" — that residual comes from the neglected effects (task switching,
 // L1 and bus contention).
+//
+// Exits 1 when either application's plan is infeasible, a task misses
+// the 2% bound, or the partitioned run fails functional verification.
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -16,7 +19,9 @@ using namespace cms;
 
 namespace {
 
-void run_app(const char* title, const core::AppFactory& factory,
+/// Prints one application's comparison; true when the plan is feasible,
+/// every task is within the paper's 2% bound and the run verifies.
+bool run_app(const char* title, const core::AppFactory& factory,
              const core::ExperimentConfig& cfg) {
   print_banner(title);
   core::Experiment exp(factory, cfg);
@@ -24,7 +29,7 @@ void run_app(const char* title, const core::AppFactory& factory,
   const opt::PartitionPlan plan = exp.plan(prof);
   if (!plan.feasible) {
     std::printf("plan infeasible!\n");
-    return;
+    return false;
   }
   const core::RunOutput part = exp.run_partitioned(plan);
   const opt::CompositionalityReport rep =
@@ -49,6 +54,7 @@ void run_app(const char* title, const core::AppFactory& factory,
       rep.within(0.02) ? "within the paper's bound" : "above the paper's bound");
   std::printf("functional verification: %s\n",
               part.verified ? "PASS" : "FAIL");
+  return rep.within(0.02) && part.verified;
 }
 
 }  // namespace
@@ -57,9 +63,11 @@ int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv);
   const core::ProfilerMode prof = bench::parse_profiler(argc, argv);
   const auto store = bench::parse_trace_store(argc, argv);
-  run_app("Figure 3a: expected vs simulated misses — 2 jpegs & canny",
-          bench::app1_factory(), bench::app1_experiment(jobs, prof, store));
-  run_app("Figure 3b: expected vs simulated misses — mpeg2",
-          bench::app2_factory(), bench::app2_experiment(jobs, prof, store));
-  return 0;
+  const bool app1 = run_app(
+      "Figure 3a: expected vs simulated misses — 2 jpegs & canny",
+      bench::app1_factory(), bench::app1_experiment(jobs, prof, store));
+  const bool app2 =
+      run_app("Figure 3b: expected vs simulated misses — mpeg2",
+              bench::app2_factory(), bench::app2_experiment(jobs, prof, store));
+  return app1 && app2 ? 0 : 1;
 }

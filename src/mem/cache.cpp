@@ -1,5 +1,6 @@
 #include "mem/cache.hpp"
 
+#include <bit>
 #include <cassert>
 
 namespace cms::mem {
@@ -11,9 +12,11 @@ std::string CacheConfig::to_string() const {
 }
 
 SetAssocCache::SetAssocCache(const CacheConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg), seed_(seed) {
+    : cfg_(cfg),
+      line_shift_(static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes))),
+      sets_(cfg.num_sets()), seed_(seed) {
   assert(cfg_.valid());
-  lines_.resize(static_cast<std::size_t>(cfg_.num_sets()) * cfg_.ways);
+  lines_.resize(static_cast<std::size_t>(sets_) * cfg_.ways);
 }
 
 SetAssocCache::Line* SetAssocCache::find(std::uint32_t set_index, Addr line_addr) {
@@ -55,30 +58,43 @@ SetAssocCache::Line& SetAssocCache::choose_victim(std::uint32_t set_index,
   return base[first];
 }
 
+void SetAssocCache::touch_hit(Line& line, AccessType type) {
+  ++tick_;
+  ++stats_.accesses;
+  ++stats_.hits;
+  if (cfg_.replacement == Replacement::kLru) line.stamp = tick_;
+  if (type == AccessType::kWrite) {
+    if (cfg_.write_policy == WritePolicy::kWriteBackAllocate)
+      line.dirty = true;
+    // Write-through: the write is forwarded; line stays clean.
+  }
+  // Ownership stays with the inserting client (see the class comment in
+  // cache.hpp): a cross-client hit must not re-home the line, or
+  // occupancy_of / evictions_by_other misattribute from then on.
+}
+
+bool SetAssocCache::access_if_hit(Addr addr, AccessType type) {
+  Line* line = find(index_of(addr), line_of(addr));
+  if (line == nullptr) return false;
+  touch_hit(*line, type);
+  return true;
+}
+
 AccessResult SetAssocCache::access_at(std::uint32_t set_index, Addr addr,
                                       AccessType type, ClientId client,
                                       WayRange ways) {
-  assert(set_index < num_sets());
-  ++tick_;
-  ++stats_.accesses;
+  assert(set_index < sets_);
   const Addr line_addr = line_of(addr);
   AccessResult res;
 
   if (Line* line = find(set_index, line_addr)) {
+    touch_hit(*line, type);
     res.hit = true;
-    ++stats_.hits;
-    if (cfg_.replacement == Replacement::kLru) line->stamp = tick_;
-    if (type == AccessType::kWrite) {
-      if (cfg_.write_policy == WritePolicy::kWriteBackAllocate)
-        line->dirty = true;
-      // Write-through: the write is forwarded; line stays clean.
-    }
-    // Ownership stays with the inserting client (see the class comment in
-    // cache.hpp): a cross-client hit must not re-home the line, or
-    // occupancy_of / evictions_by_other misattribute from then on.
     return res;
   }
 
+  ++tick_;
+  ++stats_.accesses;
   ++stats_.misses;
   res.cold = touched_lines_.insert(line_addr).second;
   if (res.cold) ++stats_.cold_misses;
@@ -109,7 +125,7 @@ AccessResult SetAssocCache::access_at(std::uint32_t set_index, Addr addr,
 }
 
 bool SetAssocCache::contains(std::uint32_t set_index, Addr addr) const {
-  const Addr line_addr = addr / cfg_.line_bytes * cfg_.line_bytes;
+  const Addr line_addr = line_of(addr);
   const Line* base = &lines_[static_cast<std::size_t>(set_index) * cfg_.ways];
   for (std::uint32_t w = 0; w < cfg_.ways; ++w)
     if (base[w].valid && base[w].tag_line == line_addr) return true;
@@ -144,7 +160,7 @@ std::uint64_t SetAssocCache::flush_client(ClientId client) {
 
 std::uint64_t SetAssocCache::flush_sets(std::uint32_t first_set,
                                         std::uint32_t count) {
-  assert(first_set + count <= num_sets());
+  assert(first_set + count <= sets_);
   std::uint64_t dirty = 0;
   const std::size_t begin = static_cast<std::size_t>(first_set) * cfg_.ways;
   const std::size_t end = begin + static_cast<std::size_t>(count) * cfg_.ways;

@@ -85,13 +85,13 @@ class SetAssocCache {
   explicit SetAssocCache(const CacheConfig& cfg, std::uint64_t seed = 1);
 
   const CacheConfig& config() const { return cfg_; }
-  std::uint32_t num_sets() const { return cfg_.num_sets(); }
+  std::uint32_t num_sets() const { return sets_; }
 
   /// Conventional set index of an address.
   std::uint32_t index_of(Addr addr) const {
-    return static_cast<std::uint32_t>((addr / cfg_.line_bytes) % num_sets());
+    return static_cast<std::uint32_t>((addr >> line_shift_) % sets_);
   }
-  Addr line_of(Addr addr) const { return addr / cfg_.line_bytes * cfg_.line_bytes; }
+  Addr line_of(Addr addr) const { return addr >> line_shift_ << line_shift_; }
 
   /// Access one line at an explicit set index, attributed to `client`.
   /// `ways` optionally restricts which ways a miss may replace into
@@ -103,6 +103,11 @@ class SetAssocCache {
   AccessResult access(Addr addr, AccessType type, ClientId client) {
     return access_at(index_of(addr), addr, type, client);
   }
+
+  /// The hit half of access(): if the line is resident, perform the
+  /// access exactly as access() would and return true; on a miss return
+  /// false and leave the cache untouched (tick and counters included).
+  bool access_if_hit(Addr addr, AccessType type);
 
   /// Is the line currently resident (any set — uses the stored index)?
   bool contains(std::uint32_t set_index, Addr addr) const;
@@ -167,8 +172,12 @@ class SetAssocCache {
 
   Line* find(std::uint32_t set_index, Addr line_addr);
   Line& choose_victim(std::uint32_t set_index, WayRange ways, ClientId client);
+  /// Hit bookkeeping shared by access_at and access_if_hit.
+  void touch_hit(Line& line, AccessType type);
 
   CacheConfig cfg_;
+  std::uint32_t line_shift_;  // log2(line_bytes)
+  std::uint32_t sets_;        // cfg_.num_sets()
   std::vector<Line> lines_;  // num_sets * ways, set-major
   std::uint64_t tick_ = 0;
   CacheStats stats_;

@@ -67,13 +67,24 @@ AccessOutcome MemoryHierarchy::access(ProcId proc, TaskId task, Addr addr,
                                       Cycle now) {
   assert(proc >= 0 && static_cast<std::uint32_t>(proc) < cfg_.num_procs);
   AccessOutcome outcome;
-  const std::uint32_t line = cfg_.l1.line_bytes;
-  const Addr first = addr / line * line;
-  const Addr last = (addr + (size ? size : 1) - 1) / line * line;
+  const SetAssocCache& l1 = *l1s_[static_cast<std::size_t>(proc)];
+  const Addr first = l1.line_of(addr);
+  const Addr last = l1.line_of(addr + (size ? size : 1) - 1);
   Cycle t = now;
-  for (Addr a = first; a <= last; a += line) t = access_line(proc, task, a, type, t, outcome);
+  for (Addr a = first; a <= last; a += cfg_.l1.line_bytes)
+    t = access_line(proc, task, a, type, t, outcome);
   outcome.finish = t;
   return outcome;
+}
+
+bool MemoryHierarchy::access_l1_hit(ProcId proc, Addr addr,
+                                    std::uint32_t size, AccessType type) {
+  SetAssocCache& l1 = *l1s_[static_cast<std::size_t>(proc)];
+  if (l1.line_of(addr) != l1.line_of(addr + (size ? size : 1) - 1) ||
+      !l1.access_if_hit(addr, type))
+    return false;
+  ++traffic_.l1_accesses;
+  return true;
 }
 
 void MemoryHierarchy::on_task_switch(ProcId proc) {

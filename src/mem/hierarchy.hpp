@@ -74,6 +74,14 @@ class MemoryHierarchy {
   AccessOutcome access(ProcId proc, TaskId task, Addr addr, std::uint32_t size,
                        AccessType type, Cycle now);
 
+  /// The L1-hit case of access(), decided by one lookup: if the access
+  /// lies within one line and that line is resident in `proc`'s L1,
+  /// perform it exactly as access() would (it finishes
+  /// `l1_hit_latency` cycles after it starts) and return true. Otherwise
+  /// return false and change nothing.
+  bool access_l1_hit(ProcId proc, Addr addr, std::uint32_t size,
+                     AccessType type);
+
   /// Called by the OS on a context switch: the private L1 of `proc` is
   /// flushed (the paper treats first-level caches as private to each task;
   /// we realize that by invalidation on switch).

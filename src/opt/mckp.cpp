@@ -44,9 +44,21 @@ MckpSolution solve_mckp_dp(const std::vector<MckpGroup>& groups,
   const std::size_t n = groups.size();
   if (n == 0) return finish(groups, {});
 
+  // Capacity past the sum of every group's largest item cannot be used:
+  // every choice fits there, so the table stops at that sum (the choice
+  // is the same) rather than growing with the caller's capacity.
+  std::uint64_t usable = 0;
+  for (const MckpGroup& g : groups) {
+    std::uint32_t largest = 0;
+    for (const MckpItem& it : g.items) largest = std::max(largest, it.size);
+    usable += largest;
+  }
+  capacity = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(capacity, usable));
+
   // dp[g][c] = min cost using groups [0, g) within size c; parent choice
   // tracked for reconstruction.
-  const std::size_t width = capacity + 1;
+  const std::size_t width = static_cast<std::size_t>(capacity) + 1;
   std::vector<double> prev(width, kInf), cur(width, kInf);
   std::vector<std::vector<int>> pick(n, std::vector<int>(width, -1));
   prev[0] = 0.0;

@@ -76,27 +76,30 @@ void TimingEngine::dispatch(ProcState& ps, std::size_t p, int idx) {
   busy_[static_cast<std::size_t>(idx)] = !ps.drained();
 }
 
+void TimingEngine::charge(ProcState& ps, Cycle gap, Cycle latency,
+                          std::uint32_t l2_misses) {
+  TaskRunStats& tst = task_stats_[static_cast<std::size_t>(ps.current)];
+  tst.compute_cycles += gap;
+  tst.mem_cycles += latency;
+  tst.active_cycles += gap + latency;
+  tst.l2_demand_misses += l2_misses;
+  ps.stats.busy_cycles += gap + latency;
+  ps.clock += gap + latency;
+}
+
 void TimingEngine::step_access(ProcState& ps, std::size_t p) {
   assert(ps.current >= 0 && !ps.drained());
   const MemAccess& a = ps.pending[ps.next++];
   const auto cur = static_cast<std::size_t>(ps.current);
-  TaskRunStats& tst = task_stats_[cur];
-
-  ps.clock += a.gap;
-  tst.compute_cycles += a.gap;
-  tst.active_cycles += a.gap;
-  ps.stats.busy_cycles += a.gap;
 
   if (a.size > 0) {
+    const Cycle start = ps.clock + a.gap;
     const auto out = platform_.hierarchy().access(
         static_cast<ProcId>(p), tasks_[cur]->id(), a.addr, a.size, a.type,
-        ps.clock);
-    const Cycle latency = out.finish - ps.clock;
-    tst.mem_cycles += latency;
-    tst.active_cycles += latency;
-    tst.l2_demand_misses += out.l2_misses;
-    ps.stats.busy_cycles += latency;
-    ps.clock = out.finish;
+        start);
+    charge(ps, a.gap, out.finish - start, out.l2_misses);
+  } else {
+    charge(ps, a.gap, 0, 0);
   }
   if (ps.drained()) {
     // The firing is over: its task may be picked again, and its events
@@ -105,6 +108,20 @@ void TimingEngine::step_access(ProcState& ps, std::size_t p) {
     ps.pending = std::vector<MemAccess>();
     ps.next = 0;
   }
+}
+
+bool TimingEngine::step_l1_hit(ProcState& ps, std::size_t p) {
+  // The last access is left to the scheduling loop: its drain frees the
+  // task for other processors (busy_).
+  if (ps.pending.size() - ps.next < 2) return false;
+  const MemAccess& a = ps.pending[ps.next];
+  if (a.size > 0 && !platform_.hierarchy().access_l1_hit(
+                        static_cast<ProcId>(p), a.addr, a.size, a.type))
+    return false;
+  ++ps.next;
+  charge(ps, a.gap,
+         a.size > 0 ? platform_.hierarchy().config().l1_hit_latency : 0, 0);
+  return true;
 }
 
 void TimingEngine::reinsert(std::size_t pos) {
@@ -185,6 +202,10 @@ SimResults TimingEngine::run() {
       if (phase_of_[i] > active_phase_) busy_[i] = true;
 
   const bool epochs = epoch_hook_ && epoch_length_ > 0;
+  // Epoch checks and phase activation read the minimum clock between
+  // firings, which a processor running ahead through its L1 hits could
+  // be; such runs keep to the (clock, index) order.
+  const bool hits_run_ahead = !epochs && num_phases_ <= 1;
   // Set by every firing, the only event that can change task done() /
   // can_fire(), the finished predicate or a phase's drain state.
   bool fired = true;
@@ -232,6 +253,17 @@ SimResults TimingEngine::run() {
                (pos + 1 == order_.size() || before(p, order_[pos + 1])) &&
                (!epochs || procs_[order_[0]].clock < next_epoch_))
           step_access(ps, p);
+        // Then p runs on through its L1 hits and gap carriers, out of
+        // (clock, index) order. Such a step touches only p's L1 (which
+        // only p's own dispatch flushes), p's clock and p's and its
+        // task's counters, so it commutes with every other processor's
+        // step. Others see p only through the order, through busy_ and
+        // task state, and through `now`: busy_ changes at a drain, so the
+        // last access is never stepped here, and a dispatcher has only
+        // drained processors ahead of it, so its `now` is never a clock
+        // that ran ahead (ARCHITECTURE.md, "Timing engine").
+        if (hits_run_ahead)
+          while (step_l1_hit(ps, p)) ++run_ahead_steps_;
         reinsert(pos);
         acted = true;
         break;

@@ -9,11 +9,17 @@
 // paper's predictability discussion in section 3).
 //
 // Scheduling cost: processors stay sorted by (clock, index) and only the
-// one that acted is re-inserted, and a processor that steps an access
-// keeps stepping while the next iteration would pick it again anyway (see
-// run() in engine.cpp for the bound). Work that grows with the task count
-// (Os::pick, the phase drain check, the finished predicate) is left to
-// processors with an empty queue and to firing boundaries.
+// one that acted is re-inserted. A processor that steps an access keeps
+// stepping while the next iteration would pick it again anyway, and then
+// on through its own single-line L1 hits and size-0 gap carriers (never
+// its firing's last access) even once it no longer sorts first: such a
+// step touches only that processor's L1, clock and counters, so it
+// commutes with every other processor's step (see run() in engine.cpp for
+// both bounds). So a full scheduling round is paid per L2-bound access,
+// drain and dispatch, not per L1 hit.
+// Work that grows with the task count (Os::pick, the phase drain check,
+// the finished predicate) is left to processors with an empty queue and
+// to firing boundaries.
 //
 // Thread-safety: a TimingEngine (and the Platform, Os and tasks it drives)
 // is thread-confined — it owns all of its mutable state and touches no
@@ -87,6 +93,10 @@ class TimingEngine {
   /// are reset at the start of the run.
   SimResults run();
 
+  /// Accesses stepped as L1 hits run ahead of the (clock, index) order —
+  /// always 0 in runs with an epoch hook or a phase schedule.
+  std::uint64_t run_ahead_steps() const { return run_ahead_steps_; }
+
  private:
   struct ProcState {
     Cycle clock = 0;
@@ -105,6 +115,14 @@ class TimingEngine {
   void dispatch(ProcState& ps, std::size_t p, int idx);
   /// Replay the next pending access of proc `p` (timing phase).
   void step_access(ProcState& ps, std::size_t p);
+  /// Step the next pending access of proc `p` if it is a size-0 gap
+  /// carrier or a single-line L1 hit and not the firing's last access;
+  /// otherwise change nothing and return false.
+  bool step_l1_hit(ProcState& ps, std::size_t p);
+  /// Charge a stepped access: `gap` compute cycles, then `latency`
+  /// memory cycles.
+  void charge(ProcState& ps, Cycle gap, Cycle latency,
+              std::uint32_t l2_misses);
   /// Activate every phase whose predecessor has fully drained (firing the
   /// phase hook per activation).
   void advance_phases(Cycle now);
@@ -134,6 +152,7 @@ class TimingEngine {
   /// draining, phase activation.
   std::vector<bool> busy_;
   std::uint64_t dispatches_ = 0;
+  std::uint64_t run_ahead_steps_ = 0;
   Cycle epoch_length_ = 0;
   EpochHook epoch_hook_;
   Cycle next_epoch_ = 0;

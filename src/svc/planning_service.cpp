@@ -200,7 +200,13 @@ core::Experiment PlanningService::build_experiment(
           "plan request grid contains duplicate sizes");
     cfg.profile_grid = req.grid;
   }
-  if (req.runs) cfg.profile_runs = std::max(1u, *req.runs);
+  if (req.runs) {
+    if (*req.runs > kMaxProfileRuns)
+      throw std::invalid_argument(
+          "plan request runs " + std::to_string(*req.runs) +
+          " exceeds the limit of " + std::to_string(kMaxProfileRuns));
+    cfg.profile_runs = std::max(1u, *req.runs);
+  }
   if (req.l2_size_bytes) {
     // An L2 override smaller than one set would crash the cache model
     // (modulo by zero sets) — reject it as a request error instead.

@@ -101,6 +101,11 @@ namespace cms::svc {
 /// sets x ways tag slots per replayed lane.
 inline constexpr std::uint32_t kMaxGridSets = 65536;
 
+/// Largest `runs` a plan request may name: 8x the largest value (2) a
+/// built-in scenario or the repo benchmark sends. Each run is one capture
+/// simulation and one pinned store entry.
+inline constexpr std::uint32_t kMaxProfileRuns = 16;
+
 /// One planning request. Only `scenario` is required; everything else
 /// overrides the registered spec (and, being part of the capture digest,
 /// transparently separates store entries per override).
@@ -110,7 +115,7 @@ struct PlanRequest {
   /// scenario's grid. Entries must be in [1, kMaxGridSets].
   std::vector<std::uint32_t> grid;
   /// Number of jitter seeds to profile (seeds 0..runs-1); one capture per
-  /// seed.
+  /// seed. At most kMaxProfileRuns.
   std::optional<std::uint32_t> runs;
   /// Platform override: L2 capacity in bytes.
   std::optional<std::uint32_t> l2_size_bytes;

@@ -2,8 +2,13 @@
 // using small synthetic tasks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/serialize.hpp"
 #include "sim/engine.hpp"
 #include "sim/os.hpp"
 #include "sim/platform.hpp"
@@ -213,6 +218,228 @@ TEST(Engine, DispatchLimitStopsRunaway) {
   const SimResults res = engine.run();
   EXPECT_TRUE(res.hit_dispatch_limit);
   EXPECT_EQ(res.dispatches, 10u);
+}
+
+// ---- Run-ahead through L1 hits ----
+//
+// A processor keeps stepping its own single-line L1 hits and size-0 gap
+// carriers (never its firing's last access) after it stops sorting first.
+// The scripted tasks below put each edge of that rule into every firing;
+// the pinned values were recorded with the engine that stepped every
+// access in (clock, index) order, and the epoch-hook and phase-schedule
+// runs, which keep that order, must reproduce them.
+
+/// One step of a scripted firing. Addresses are offsets from the task's
+/// private base; kStream reads a line no earlier firing touched.
+struct Op {
+  enum Kind { kCompute, kRead, kWrite, kStream } kind;
+  std::uint32_t arg = 0;  // cycles (kCompute) or address offset
+  std::uint32_t size = 4;
+};
+
+class ScriptTask final : public Task {
+ public:
+  ScriptTask(TaskId id, int firings, std::vector<Op> script)
+      : Task(id, "script" + std::to_string(id)), firings_(firings),
+        script_(std::move(script)) {}
+
+  bool can_fire() const override { return fired_ < firings_; }
+  bool done() const override { return fired_ >= firings_; }
+
+  void fire(TaskContext& ctx) override {
+    const Addr base = static_cast<Addr>(id()) * 0x100000;
+    for (const Op& op : script_) {
+      switch (op.kind) {
+        case Op::kCompute: ctx.mem().compute(op.arg); break;
+        case Op::kRead: ctx.mem().read(base + op.arg, op.size); break;
+        case Op::kWrite: ctx.mem().write(base + op.arg, op.size); break;
+        case Op::kStream:
+          ctx.mem().read(base + 0x8000 + static_cast<Addr>(streamed_++) * 64,
+                         op.size);
+          break;
+      }
+    }
+    ++fired_;
+  }
+
+ private:
+  int firings_;
+  std::vector<Op> script_;
+  int fired_ = 0;
+  int streamed_ = 0;
+};
+
+/// Every SimResults field, one record per line.
+std::string dump(const SimResults& r) {
+  std::ostringstream os;
+  const auto stats = [&os](const mem::CacheStats& s) {
+    os << " l2 " << s.accesses << "/" << s.hits << "/" << s.misses << "/"
+       << s.cold_misses << "/" << s.writebacks << "/" << s.evictions_by_other;
+  };
+  os << "makespan=" << r.makespan << " dispatches=" << r.dispatches
+     << " instr=" << r.total_instructions << " l2=" << r.l2_accesses << "/"
+     << r.l2_misses << " deadlocked=" << r.deadlocked
+     << " limit=" << r.hit_dispatch_limit << " traffic="
+     << r.traffic.l1_accesses << "/" << r.traffic.l2_accesses << "/"
+     << r.traffic.dram_accesses << "/" << r.traffic.offchip_bytes << "\n";
+  for (const auto& p : r.procs)
+    os << "proc " << p.id << " " << p.cycles << "/" << p.busy_cycles << "/"
+       << p.idle_cycles << "/" << p.switch_cycles << "/" << p.switches << "/"
+       << p.instructions << "\n";
+  for (const auto& t : r.tasks) {
+    os << "task " << t.id << " " << t.name << " " << t.firings << "/"
+       << t.instructions << "/" << t.compute_cycles << "/" << t.mem_cycles
+       << "/" << t.active_cycles << "/" << t.l2_demand_misses;
+    stats(t.l2);
+    os << "\n";
+  }
+  for (const auto& b : r.buffers) {
+    os << "buffer " << b.id << " " << b.name;
+    stats(b.l2);
+    os << "\n";
+  }
+  return os.str();
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  return serialize::fnv1a64(reinterpret_cast<const std::uint8_t*>(s.data()),
+                            s.size());
+}
+
+/// Each script puts one edge of the run-ahead rule into every firing;
+/// kStream and the misses between them keep the L2 and bus shared.
+std::vector<std::vector<Op>> edge_scripts() {
+  using K = Op::Kind;
+  return {
+      // The firing's last access is an L1 hit.
+      {{K::kCompute, 4}, {K::kStream}, {K::kRead, 0}, {K::kCompute, 2},
+       {K::kRead, 8}, {K::kCompute, 3}, {K::kRead, 16}},
+      // A two-line access whose lines both hit; a trailing gap carrier.
+      {{K::kCompute, 1}, {K::kRead, 0}, {K::kRead, 64}, {K::kCompute, 2},
+       {K::kRead, 60, 8}, {K::kStream}, {K::kRead, 60, 8}, {K::kCompute, 5}},
+      // Size-0 gap carriers mid-firing.
+      {{K::kCompute, 3}, {K::kRead, 0}, {K::kCompute, 4}, {K::kRead, 0, 0},
+       {K::kCompute, 2}, {K::kRead, 0, 0}, {K::kRead, 8}, {K::kStream},
+       {K::kCompute, 6}, {K::kRead, 8, 0}, {K::kRead, 16}},
+      // Write hits on a clean and on a dirty line; dirty victims later.
+      {{K::kRead, 0}, {K::kWrite, 4}, {K::kWrite, 8}, {K::kCompute, 2},
+       {K::kWrite, 128}, {K::kWrite, 132}, {K::kStream}, {K::kRead, 128},
+       {K::kCompute, 1}, {K::kRead, 256}},
+  };
+}
+
+enum class Hook { kNone, kEpoch, kPhases };
+
+/// Runs `engine` over `tasks`, first adding a no-op epoch hook or a
+/// schedule of one phase holding every task plus an empty one when `hook`
+/// asks: either keeps the engine to the (clock, index) order.
+SimResults run_hooked(TimingEngine& engine, Hook hook,
+                      const std::vector<Task*>& tasks,
+                      std::uint64_t& run_ahead) {
+  if (hook == Hook::kEpoch)
+    engine.set_epoch_hook(300, [](Cycle, mem::MemoryHierarchy&) {});
+  if (hook == Hook::kPhases) {
+    std::vector<TaskId> all;
+    for (const Task* t : tasks) all.push_back(t->id());
+    engine.set_phase_schedule({all, {}});
+  }
+  const SimResults res = engine.run();
+  run_ahead = engine.run_ahead_steps();
+  return res;
+}
+
+/// Four processors run the edge scripts (firings 9-12 each). Under
+/// kStatic the last two tasks share processor 2 and processor 3 idles;
+/// under kMigrating an idle processor can often dispatch only once
+/// another's queue drains (the task it wants is in flight there).
+SimResults run_edges(SchedPolicy policy, Hook hook,
+                     std::uint64_t& run_ahead) {
+  PlatformConfig cfg = tiny_platform(4);
+  cfg.quantum_firings = 3;
+  Platform platform(cfg);
+  Os os(policy, 4, 1);
+  const auto scripts = edge_scripts();
+  std::vector<std::unique_ptr<ScriptTask>> owned;
+  std::vector<Task*> tasks;
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    owned.push_back(std::make_unique<ScriptTask>(
+        static_cast<TaskId>(i), 12 - static_cast<int>(i), scripts[i]));
+    tasks.push_back(owned.back().get());
+  }
+  os.assign(0, 0);
+  os.assign(1, 1);
+  os.assign(2, 2);
+  os.assign(3, 2);
+  TimingEngine engine(platform, os, tasks);
+  return run_hooked(engine, hook, tasks, run_ahead);
+}
+
+/// Three of the edge scripts on four processors, so one processor is
+/// always idle. Under kMigrating it can dispatch only once another
+/// processor's queue drains (every task is in flight elsewhere until
+/// then); under kStatic it stays idle.
+SimResults run_idle(SchedPolicy policy, Hook hook,
+                    std::uint64_t& run_ahead) {
+  Platform platform(tiny_platform(4));
+  Os os(policy, 4, 2);
+  const auto scripts = edge_scripts();
+  ScriptTask a(0, 10, scripts[0]), b(1, 9, scripts[2]), c(2, 8, scripts[3]);
+  os.assign(0, 0);
+  os.assign(1, 1);
+  os.assign(2, 2);
+  const std::vector<Task*> tasks = {&a, &b, &c};
+  TimingEngine engine(platform, os, tasks);
+  return run_hooked(engine, hook, tasks, run_ahead);
+}
+
+struct EdgeGolden {
+  const char* name;
+  Cycle makespan;
+  std::uint64_t hash;  // fnv1a(dump(results))
+};
+
+constexpr EdgeGolden kEdgeGoldens[] = {
+    {"edges/migrating", 1241, 0x0e7f85ff15bbfb1dull},
+    {"edges/static", 2220, 0xd4c53bb11d82f57bull},
+    {"idle/migrating", 1097, 0x2c456c190d9219c2ull},
+    {"idle/static", 921, 0xefc9bf261d25d5c1ull},
+};
+
+void expect_edge_golden(const std::string& name, const SimResults& r) {
+  const std::string text = dump(r);
+  const auto* g = std::find_if(
+      std::begin(kEdgeGoldens), std::end(kEdgeGoldens),
+      [&](const EdgeGolden& x) { return name == x.name; });
+  ASSERT_NE(g, std::end(kEdgeGoldens)) << name;
+  EXPECT_FALSE(r.deadlocked) << name;
+  EXPECT_EQ(r.makespan, g->makespan) << name;
+  EXPECT_EQ(fnv1a(text), g->hash)
+      << name << " moved; pin: {\"" << name << "\", " << r.makespan
+      << ", 0x" << std::hex << fnv1a(text) << "ull},\n"
+      << text;
+}
+
+TEST(EngineRunAhead, EdgesMatchTheStrictOrder) {
+  for (const SchedPolicy policy :
+       {SchedPolicy::kMigrating, SchedPolicy::kStatic}) {
+    const std::string tag =
+        policy == SchedPolicy::kMigrating ? "migrating" : "static";
+    using Run = SimResults (*)(SchedPolicy, Hook, std::uint64_t&);
+    for (const auto& [name, run] :
+         {std::pair<std::string, Run>{"edges/" + tag, run_edges},
+          std::pair<std::string, Run>{"idle/" + tag, run_idle}}) {
+      std::uint64_t steps = 0;
+      const SimResults plain = run(policy, Hook::kNone, steps);
+      expect_edge_golden(name, plain);
+      EXPECT_GT(steps, 0u) << name;
+      for (const Hook hook : {Hook::kEpoch, Hook::kPhases}) {
+        std::uint64_t hooked_steps = 1;
+        const SimResults strict = run(policy, hook, hooked_steps);
+        EXPECT_EQ(hooked_steps, 0u) << name;
+        EXPECT_EQ(dump(strict), dump(plain)) << name;
+      }
+    }
+  }
 }
 
 TEST(Os, RoundRobinCyclesThroughReadyTasks) {

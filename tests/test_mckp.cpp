@@ -1,6 +1,7 @@
 // Tests for the MCKP solvers (the paper's ILP formulation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -131,6 +132,28 @@ TEST_P(MckpCrossCheck, SolutionSizeAccountingConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MckpCrossCheck, ::testing::Range(0, 10));
+
+TEST(Mckp, CapacityPastEveryLargestItemChangesNothing) {
+  // Past the sum of every group's largest item, capacity cannot be used:
+  // a 2^24-set capacity gives exactly the choice at that sum, and the DP
+  // table must not grow with it.
+  for (const std::uint64_t seed : {400u, 401u, 402u}) {
+    const auto groups = random_instance(seed, 3, 4);
+    std::uint32_t sum_max = 0;
+    for (const MckpGroup& g : groups) {
+      std::uint32_t largest = 0;
+      for (const MckpItem& it : g.items) largest = std::max(largest, it.size);
+      sum_max += largest;
+    }
+    const MckpSolution at_sum = solve_mckp_dp(groups, sum_max);
+    const MckpSolution huge = solve_mckp_dp(groups, 1u << 24);
+    ASSERT_TRUE(at_sum.feasible);
+    ASSERT_TRUE(huge.feasible);
+    EXPECT_EQ(huge.choice, at_sum.choice) << "seed " << seed;
+    EXPECT_EQ(huge.total_cost, at_sum.total_cost) << "seed " << seed;
+    EXPECT_EQ(huge.total_size, at_sum.total_size) << "seed " << seed;
+  }
+}
 
 // ---- Dense-grid pruning (prune_mckp_items) ----
 

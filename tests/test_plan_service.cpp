@@ -288,6 +288,19 @@ TEST(PlanService, FailuresComeBackAsErrorResponses) {
             std::string::npos)
       << past_limit.error;
 
+  // Each run is a capture simulation and a pinned store entry, so the
+  // run count is bounded too; the error names the value.
+  PlanRequest many_runs;
+  ASSERT_TRUE(parse_plan_request(
+      "mpeg2-tiny runs=" + std::to_string(kMaxProfileRuns + 1), many_runs,
+      parse_err))
+      << parse_err;
+  const PlanResponse too_many = service.plan(many_runs);
+  EXPECT_FALSE(too_many.ok);
+  EXPECT_NE(too_many.error.find("runs " + std::to_string(kMaxProfileRuns + 1)),
+            std::string::npos)
+      << too_many.error;
+
   // An L2 override below one set would divide by zero in the cache model.
   PlanRequest tiny_l2;
   tiny_l2.scenario = "mpeg2-tiny";
