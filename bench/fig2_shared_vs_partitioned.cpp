@@ -7,6 +7,11 @@
 //   * application 2 with a doubled *shared* L2 approaches (but must pay
 //     2x the capacity for) the partitioned result — the paper's "1 MB
 //     shared L2" data point.
+//
+// Exits 1 when, for either application, the plan is infeasible, the
+// shared, partitioned or 2x-L2 run deadlocks or fails functional
+// verification, or the partitioned run does not have fewer L2 misses
+// than the shared one.
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
@@ -16,7 +21,14 @@ using namespace cms;
 
 namespace {
 
-void run_app(const char* title, const core::AppFactory& factory,
+/// A run counts when it neither deadlocked nor failed verification.
+bool sound(const core::RunOutput& out) {
+  return out.verified && !out.results.deadlocked;
+}
+
+/// Prints one application's comparison; true when the plan is feasible,
+/// all three runs are sound and partitioning cut the L2 misses.
+bool run_app(const char* title, const core::AppFactory& factory,
              const core::ExperimentConfig& cfg, const char* paper_line) {
   print_banner(title);
   core::Experiment exp(factory, cfg);
@@ -26,7 +38,7 @@ void run_app(const char* title, const core::AppFactory& factory,
   const opt::PartitionPlan plan = exp.plan(prof);
   if (!plan.feasible) {
     std::printf("plan infeasible!\n");
-    return;
+    return false;
   }
   const core::RunOutput part = exp.run_partitioned(plan);
 
@@ -80,6 +92,10 @@ void run_app(const char* title, const core::AppFactory& factory,
   bench::print_run_summary("shared, 2x L2", big);
   std::printf("   paper (mpeg2): 1MB shared L2 -> 0.6%% miss rate, 1.7 CPI "
               "(partitioned 512KB achieved 0.8%%)\n");
+
+  const bool fewer = part.results.l2_misses < shared.results.l2_misses;
+  if (!fewer) std::printf("partitioning did not reduce the L2 misses\n");
+  return sound(shared) && sound(part) && sound(big) && fewer;
 }
 
 }  // namespace
@@ -88,11 +104,13 @@ int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv);
   const core::ProfilerMode prof = bench::parse_profiler(argc, argv);
   const auto store = bench::parse_trace_store(argc, argv);
-  run_app("Figure 2a: 2 jpegs & canny — shared vs best partitioned cache",
-          bench::app1_factory(), bench::app1_experiment(jobs, prof, store),
-          "5x fewer misses, 9.46% -> 2.21%, CPI 1.4 -> 1.1 (-20%)");
-  run_app("Figure 2b: mpeg2 — shared vs best partitioned cache",
-          bench::app2_factory(), bench::app2_experiment(jobs, prof, store),
-          "6.5x fewer misses, 5.1% -> 0.8%, CPI 1.7-1.8 -> 1.6-1.7 (-4%)");
-  return 0;
+  const bool app1 = run_app(
+      "Figure 2a: 2 jpegs & canny — shared vs best partitioned cache",
+      bench::app1_factory(), bench::app1_experiment(jobs, prof, store),
+      "5x fewer misses, 9.46% -> 2.21%, CPI 1.4 -> 1.1 (-20%)");
+  const bool app2 = run_app(
+      "Figure 2b: mpeg2 — shared vs best partitioned cache",
+      bench::app2_factory(), bench::app2_experiment(jobs, prof, store),
+      "6.5x fewer misses, 5.1% -> 0.8%, CPI 1.7-1.8 -> 1.6-1.7 (-4%)");
+  return app1 && app2 ? 0 : 1;
 }

@@ -1,5 +1,8 @@
 #include "apps/applications.hpp"
 
+#include <algorithm>
+#include <list>
+#include <mutex>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -37,75 +40,134 @@ bool frame_matches(const std::vector<std::uint8_t>& got, const Image& want,
   return true;
 }
 
-/// Instantiate the 2xJPEG+Canny pipelines of one phase unit (same content
-/// derivation and builder order as make_jpeg_canny_app, under u.prefix)
-/// and return its output oracle.
-std::function<bool()> build_jpeg_canny(kpn::Network& net,
-                                       const SharedCodecTables& tables,
-                                       PhaseUnit& u) {
-  const AppConfig& cfg = u.content;
-  u.jpeg1 = std::make_unique<JpegSequence>(
-      jpeg_encode_sequence(cfg.jpeg1_width, cfg.jpeg1_height, cfg.jpeg_pictures,
-                           cfg.jpeg_quality, cfg.seed));
-  u.jpeg2 = std::make_unique<JpegSequence>(
-      jpeg_encode_sequence(cfg.jpeg2_width, cfg.jpeg2_height, cfg.jpeg_pictures,
-                           cfg.jpeg_quality, cfg.seed ^ 0xBEEF));
+JpegCannyContent encode_jpeg_canny(const AppConfig& cfg) {
+  JpegCannyContent c;
+  c.jpeg1 = jpeg_encode_sequence(cfg.jpeg1_width, cfg.jpeg1_height,
+                                 cfg.jpeg_pictures, cfg.jpeg_quality, cfg.seed);
+  c.jpeg2 = jpeg_encode_sequence(cfg.jpeg2_width, cfg.jpeg2_height,
+                                 cfg.jpeg_pictures, cfg.jpeg_quality,
+                                 cfg.seed ^ 0xBEEF);
   for (int f = 0; f < cfg.canny_frames; ++f)
-    u.canny_srcs.push_back(testimg::blocks(cfg.canny_width, cfg.canny_height,
+    c.canny_srcs.push_back(testimg::blocks(cfg.canny_width, cfg.canny_height,
                                            (cfg.seed ^ 0xF00D) + f));
-
-  u.jpeg_pipe1 = add_jpeg_decoder(net, "1", *u.jpeg1, tables, u.prefix);
-  u.jpeg_pipe2 = add_jpeg_decoder(net, "2", *u.jpeg2, tables, u.prefix);
-  u.canny_pipe = add_canny(net, u.canny_srcs, u.prefix);
-
-  const JpegSequence* s1 = u.jpeg1.get();
-  const JpegSequence* s2 = u.jpeg2.get();
-  const kpn::FrameBuffer* out1 = u.jpeg_pipe1.output;
-  const kpn::FrameBuffer* out2 = u.jpeg_pipe2.output;
-  const kpn::FrameBuffer* cout = u.canny_pipe.output;
-  const Image canny_want = canny_reference(u.canny_srcs.back());
-  return [s1, s2, out1, out2, cout, canny_want]() {
-    bool ok = true;
-    ok &= frame_matches(out1->host_data(),
-                        jpeg_reference_decode(s1->pictures.back()), "jpeg1");
-    ok &= frame_matches(out2->host_data(),
-                        jpeg_reference_decode(s2->pictures.back()), "jpeg2");
-    const int w = canny_want.width(), h = canny_want.height();
-    const auto& got = cout->host_data();
-    for (int y = 0; y < h; ++y)
-      for (int x = 0; x < w; ++x)
-        if (got[static_cast<std::size_t>(y) * w + x] != canny_want.at(x, y)) {
-          log_warn() << "canny mismatch at (" << x << "," << y << ")";
-          return false;
-        }
-    return ok;
-  };
+  // The output frame buffers end up holding the last picture and frame.
+  c.jpeg1_want = jpeg_reference_decode(c.jpeg1.pictures.back());
+  c.jpeg2_want = jpeg_reference_decode(c.jpeg2.pictures.back());
+  c.canny_want = canny_reference(c.canny_srcs.back());
+  return c;
 }
 
-/// Same for the MPEG2 decoder (mirrors make_m2v_app).
-std::function<bool()> build_mpeg2(kpn::Network& net,
-                                  const SharedCodecTables& tables,
-                                  PhaseUnit& u) {
-  const AppConfig& cfg = u.content;
+Mpeg2Content encode_mpeg2(const AppConfig& cfg) {
   std::vector<Image> frames;
   frames.reserve(static_cast<std::size_t>(cfg.m2v_frames));
   for (int f = 0; f < cfg.m2v_frames; ++f)
     frames.push_back(testimg::moving_boxes(cfg.m2v_width, cfg.m2v_height, f,
                                            cfg.seed ^ 0xC0DE));
-  u.m2v = std::make_unique<M2vStream>(m2v_encode(frames, cfg.m2v_qscale));
+  Mpeg2Content c;
+  c.stream = m2v_encode(frames, cfg.m2v_qscale);
+  c.want = m2v_reference_decode(c.stream);
+  return c;
+}
 
-  u.m2v_pipe = add_m2v_decoder(net, *u.m2v, tables, u.prefix);
+/// The process-wide memo of one content kind: an LRU of
+/// kContentMemoCapacity entries keyed on the whole AppConfig. The mutex
+/// guards only the lookup; each entry's std::call_once runs its encode,
+/// so concurrent builds of one content encode it once, builds of
+/// different contents never wait for each other's encode, and an encode
+/// that throws leaves its entry for the next build to retry.
+template <class Content, Content (*Encode)(const AppConfig&)>
+class ContentMemo {
+ public:
+  std::shared_ptr<const Content> get(const AppConfig& cfg) {
+    std::shared_ptr<Entry> entry;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      const auto it = std::find_if(
+          lru_.begin(), lru_.end(),
+          [&cfg](const std::shared_ptr<Entry>& e) { return e->key == cfg; });
+      if (it != lru_.end()) {
+        lru_.splice(lru_.begin(), lru_, it);
+      } else {
+        lru_.push_front(std::make_shared<Entry>(cfg));
+        if (lru_.size() > kContentMemoCapacity) lru_.pop_back();
+      }
+      entry = lru_.front();
+    }
+    std::call_once(entry->encoded, [&entry] {
+      entry->content = std::make_shared<const Content>(Encode(entry->key));
+    });
+    return entry->content;
+  }
 
-  const M2vStream* stream = u.m2v.get();
-  const M2vOutput* output = u.m2v_pipe.output;
-  return [stream, output]() {
-    const std::vector<Image> want = m2v_reference_decode(*stream);
-    if (want.size() != output->frames().size()) {
+ private:
+  struct Entry {
+    explicit Entry(const AppConfig& k) : key(k) {}
+    const AppConfig key;
+    std::once_flag encoded;
+    std::shared_ptr<const Content> content;
+  };
+  std::mutex mu_;
+  std::list<std::shared_ptr<Entry>> lru_;  // most recently used first
+};
+
+std::shared_ptr<const JpegCannyContent> jpeg_canny_content(
+    const AppConfig& cfg) {
+  static ContentMemo<JpegCannyContent, encode_jpeg_canny> memo;
+  return memo.get(cfg);
+}
+
+std::shared_ptr<const Mpeg2Content> mpeg2_content(const AppConfig& cfg) {
+  static ContentMemo<Mpeg2Content, encode_mpeg2> memo;
+  return memo.get(cfg);
+}
+
+/// Instantiate the 2xJPEG+Canny pipelines over the memoized content of
+/// `cfg`, names under `prefix`, into `net`; record the content and the
+/// pipeline handles in `into` (an Application or a PhaseUnit) and return
+/// the output oracle.
+template <class Holder>
+std::function<bool()> build_jpeg_canny(kpn::Network& net,
+                                       const SharedCodecTables& tables,
+                                       const AppConfig& cfg,
+                                       const std::string& prefix,
+                                       Holder& into) {
+  into.jpeg_canny = jpeg_canny_content(cfg);
+  const JpegCannyContent* c = into.jpeg_canny.get();
+  into.jpeg_pipe1 = add_jpeg_decoder(net, "1", c->jpeg1, tables, prefix);
+  into.jpeg_pipe2 = add_jpeg_decoder(net, "2", c->jpeg2, tables, prefix);
+  into.canny_pipe = add_canny(net, c->canny_srcs, prefix);
+
+  // Raw pointers: the Application may move, its heap members do not.
+  const kpn::FrameBuffer* out1 = into.jpeg_pipe1.output;
+  const kpn::FrameBuffer* out2 = into.jpeg_pipe2.output;
+  const kpn::FrameBuffer* cout = into.canny_pipe.output;
+  return [c, out1, out2, cout]() {
+    bool ok = true;
+    ok &= frame_matches(out1->host_data(), c->jpeg1_want, "jpeg1");
+    ok &= frame_matches(out2->host_data(), c->jpeg2_want, "jpeg2");
+    ok &= frame_matches(cout->host_data(), c->canny_want, "canny");
+    return ok;
+  };
+}
+
+/// Same for the MPEG2 decoder.
+template <class Holder>
+std::function<bool()> build_mpeg2(kpn::Network& net,
+                                  const SharedCodecTables& tables,
+                                  const AppConfig& cfg,
+                                  const std::string& prefix, Holder& into) {
+  into.mpeg2 = mpeg2_content(cfg);
+  const Mpeg2Content* c = into.mpeg2.get();
+  into.m2v_pipe = add_m2v_decoder(net, c->stream, tables, prefix);
+
+  const M2vOutput* output = into.m2v_pipe.output;
+  return [c, output]() {
+    if (c->want.size() != output->frames().size()) {
       log_warn() << "mpeg2: frame count mismatch";
       return false;
     }
-    for (std::size_t f = 0; f < want.size(); ++f)
-      if (!frame_matches(output->frames()[f], want[f], "mpeg2 frame"))
+    for (std::size_t f = 0; f < c->want.size(); ++f)
+      if (!frame_matches(output->frames()[f], c->want[f], "mpeg2 frame"))
         return false;
     return true;
   };
@@ -189,48 +251,7 @@ Application make_jpeg_canny_app(const AppConfig& cfg) {
   make_segments(app, 16);
   app.tables =
       std::make_unique<SharedCodecTables>(app.appl_data, cfg.jpeg_quality);
-
-  app.jpeg1 = std::make_unique<JpegSequence>(
-      jpeg_encode_sequence(cfg.jpeg1_width, cfg.jpeg1_height, cfg.jpeg_pictures,
-                           cfg.jpeg_quality, cfg.seed));
-  app.jpeg2 = std::make_unique<JpegSequence>(
-      jpeg_encode_sequence(cfg.jpeg2_width, cfg.jpeg2_height, cfg.jpeg_pictures,
-                           cfg.jpeg_quality, cfg.seed ^ 0xBEEF));
-  for (int f = 0; f < cfg.canny_frames; ++f)
-    app.canny_srcs.push_back(testimg::blocks(cfg.canny_width, cfg.canny_height,
-                                             (cfg.seed ^ 0xF00D) + f));
-
-  app.jpeg_pipe1 = add_jpeg_decoder(*app.net, "1", *app.jpeg1, *app.tables);
-  app.jpeg_pipe2 = add_jpeg_decoder(*app.net, "2", *app.jpeg2, *app.tables);
-  app.canny_pipe = add_canny(*app.net, app.canny_srcs);
-
-  // Capture raw pointers (the Application object may move).
-  const JpegSequence* s1 = app.jpeg1.get();
-  const JpegSequence* s2 = app.jpeg2.get();
-  const kpn::FrameBuffer* out1 = app.jpeg_pipe1.output;
-  const kpn::FrameBuffer* out2 = app.jpeg_pipe2.output;
-  const kpn::FrameBuffer* cout = app.canny_pipe.output;
-  const Image canny_want = canny_reference(app.canny_srcs.back());
-
-  app.verify = [s1, s2, out1, out2, cout, canny_want]() {
-    bool ok = true;
-    // The output frame buffers hold the most recently decoded picture.
-    ok &= frame_matches(out1->host_data(),
-                        jpeg_reference_decode(s1->pictures.back()), "jpeg1");
-    ok &= frame_matches(out2->host_data(),
-                        jpeg_reference_decode(s2->pictures.back()), "jpeg2");
-    // Canny: compare away from the borders (the streaming pipeline and
-    // the oracle clamp identically, but this keeps the check robust).
-    const int w = canny_want.width(), h = canny_want.height();
-    const auto& got = cout->host_data();
-    for (int y = 0; y < h; ++y)
-      for (int x = 0; x < w; ++x)
-        if (got[static_cast<std::size_t>(y) * w + x] != canny_want.at(x, y)) {
-          log_warn() << "canny mismatch at (" << x << "," << y << ")";
-          return false;
-        }
-    return ok;
-  };
+  app.verify = build_jpeg_canny(*app.net, *app.tables, cfg, "", app);
   return app;
 }
 
@@ -240,29 +261,7 @@ Application make_m2v_app(const AppConfig& cfg) {
   app.net = std::make_unique<kpn::Network>();
   make_segments(app, 16);
   app.tables = std::make_unique<SharedCodecTables>(app.appl_data, 75);
-
-  std::vector<Image> frames;
-  frames.reserve(static_cast<std::size_t>(cfg.m2v_frames));
-  for (int f = 0; f < cfg.m2v_frames; ++f)
-    frames.push_back(
-        testimg::moving_boxes(cfg.m2v_width, cfg.m2v_height, f, cfg.seed ^ 0xC0DE));
-  app.m2v = std::make_unique<M2vStream>(m2v_encode(frames, cfg.m2v_qscale));
-
-  app.m2v_pipe = add_m2v_decoder(*app.net, *app.m2v, *app.tables);
-
-  const M2vStream* stream = app.m2v.get();
-  const M2vOutput* output = app.m2v_pipe.output;
-  app.verify = [stream, output]() {
-    const std::vector<Image> want = m2v_reference_decode(*stream);
-    if (want.size() != output->frames().size()) {
-      log_warn() << "mpeg2: frame count mismatch";
-      return false;
-    }
-    for (std::size_t f = 0; f < want.size(); ++f)
-      if (!frame_matches(output->frames()[f], want[f], "mpeg2 frame"))
-        return false;
-    return true;
-  };
+  app.verify = build_mpeg2(*app.net, *app.tables, cfg, "", app);
   return app;
 }
 
@@ -305,19 +304,17 @@ Application make_phased_app(const std::vector<AppPhase>& phases) {
                                      : phases[k].name;
     // A single-phase app keeps bare names: its plan entries then map onto
     // a multi-phase run of the same mix by prepending that run's prefix.
-    if (phases.size() > 1) {
-      u->prefix = "p";
-      u->prefix += std::to_string(k);
-      u->prefix += '/';
-    }
+    if (phases.size() > 1) u->prefix = 'p' + std::to_string(k) + '/';
     u->mix = phases[k].mix;
     u->content = phases[k].content;
 
     const std::size_t task_begin = app.net->tasks().size();
     if (mix_has_jpeg_canny(u->mix))
-      checks.push_back(build_jpeg_canny(*app.net, *app.tables, *u));
+      checks.push_back(
+          build_jpeg_canny(*app.net, *app.tables, u->content, u->prefix, *u));
     if (mix_has_mpeg2(u->mix))
-      checks.push_back(build_mpeg2(*app.net, *app.tables, *u));
+      checks.push_back(
+          build_mpeg2(*app.net, *app.tables, u->content, u->prefix, *u));
     const auto& tasks = app.net->tasks();
     for (std::size_t i = task_begin; i < tasks.size(); ++i)
       u->tasks.push_back(tasks[i]->id());

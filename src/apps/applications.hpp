@@ -71,7 +71,34 @@ struct AppConfig {
   /// digest (core::app_trace_key), so any content tweak invalidates
   /// persisted captures.
   std::uint64_t digest() const;
+
+  /// Field-by-field equality: the key of the content memo.
+  bool operator==(const AppConfig&) const = default;
 };
+
+/// Immutable inputs of one jpeg-canny content: the two encoded JPEG
+/// sequences, the Canny source frames, and the oracle images verify()
+/// compares a run's outputs with (the reference decode of each
+/// sequence's last picture, the reference edge map of the last frame).
+struct JpegCannyContent {
+  JpegSequence jpeg1, jpeg2;
+  std::vector<Image> canny_srcs;
+  Image jpeg1_want, jpeg2_want, canny_want;
+};
+
+/// Immutable inputs of one MPEG2 content: the encoded stream and its
+/// reference decode, the oracle verify() compares every frame with.
+struct Mpeg2Content {
+  M2vStream stream;
+  std::vector<Image> want;
+};
+
+/// Each content kind is encoded once per process and AppConfig, then
+/// shared: the builders keep an LRU memo of this many contents per kind,
+/// well above the handful the built-in scenarios and benches use.
+/// Eviction only drops the memo's reference; an Application built
+/// earlier keeps its content alive.
+inline constexpr std::size_t kContentMemoCapacity = 16;
 
 /// Content + pipelines of one phase of a phased (streaming) application.
 /// Heap-held so the owning Application stays movable while verify
@@ -86,9 +113,10 @@ struct PhaseUnit {
   AppMix mix = AppMix::kNone;
   AppConfig content;
 
-  std::unique_ptr<JpegSequence> jpeg1, jpeg2;
-  std::unique_ptr<M2vStream> m2v;
-  std::vector<Image> canny_srcs;
+  /// Memoized content of `content`, per app of the mix (null when the mix
+  /// lacks that app).
+  std::shared_ptr<const JpegCannyContent> jpeg_canny;
+  std::shared_ptr<const Mpeg2Content> mpeg2;
   JpegPipeline jpeg_pipe1, jpeg_pipe2;
   CannyPipeline canny_pipe;
   M2vPipeline m2v_pipe;
@@ -106,9 +134,10 @@ struct AppPhase {
   AppConfig content;
 };
 
-/// One fully assembled workload. Owns its content streams, network and
-/// shared tables; non-copyable, heap-held members keep internal pointers
-/// stable.
+/// One fully assembled workload. Owns its network and shared tables and
+/// shares its memoized content (kContentMemoCapacity) with every other
+/// Application built from the same AppConfig; non-copyable, heap-held
+/// members keep internal pointers stable.
 class Application {
  public:
   std::string name;
@@ -118,10 +147,11 @@ class Application {
   // Shared static segments (the last rows of Tables 1 and 2).
   sim::Region appl_data, appl_bss, rt_data, rt_bss;
 
-  // Content (kept alive for the processes that reference it).
-  std::unique_ptr<JpegSequence> jpeg1, jpeg2;
-  std::unique_ptr<M2vStream> m2v;
-  std::vector<Image> canny_srcs;
+  // Content (kept alive for the processes that point into it; null for
+  // an app the workload lacks, and for phased apps, whose PhaseUnits
+  // hold theirs).
+  std::shared_ptr<const JpegCannyContent> jpeg_canny;
+  std::shared_ptr<const Mpeg2Content> mpeg2;
   std::unique_ptr<sim::SharedArray<std::uint64_t>> progress;
 
   // Pipeline handles.

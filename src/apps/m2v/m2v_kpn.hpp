@@ -384,6 +384,7 @@ class M2vOutput final : public kpn::Process {
   const std::vector<std::vector<std::uint8_t>>& frames() const {
     return decoded_;
   }
+  std::vector<std::vector<std::uint8_t>>& frames() { return decoded_; }
 
  private:
   const M2vStream* stream_;

@@ -97,8 +97,11 @@ class Experiment {
   /// Task inventory of the application (id, name), in creation order.
   /// The first call to tasks() or buffers() — directly or through
   /// profile_jobs(), plan() and the capture entry points — builds the
-  /// application once to learn both lists; later calls, on this
-  /// Experiment or on any copy of it, reuse them.
+  /// application once to learn both lists: a network build around the
+  /// content the apps layer memoizes per process (apps::JpegCannyContent,
+  /// apps::Mpeg2Content), so only the first build of a content encodes
+  /// it. Later calls, on this Experiment or on any copy of it, reuse the
+  /// lists.
   std::vector<std::pair<TaskId, std::string>> tasks() const;
   /// Shared buffer inventory.
   std::vector<kpn::SharedBufferInfo> buffers() const;

@@ -179,6 +179,10 @@ core::Experiment PlanningService::build_experiment(
     const PlanRequest& req, core::AppFactory factory,
     core::ExperimentConfig cfg) const {
   if (!req.grid.empty()) {
+    if (req.grid.size() > kMaxGridPoints)
+      throw std::invalid_argument(
+          "plan request grid has " + std::to_string(req.grid.size()) +
+          " sizes, more than the limit of " + std::to_string(kMaxGridPoints));
     for (const std::uint32_t sets : req.grid) {
       if (sets == 0)
         throw std::invalid_argument("plan request grid contains size 0");

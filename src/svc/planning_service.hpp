@@ -101,6 +101,12 @@ namespace cms::svc {
 /// sets x ways tag slots per replayed lane.
 inline constexpr std::uint32_t kMaxGridSets = 65536;
 
+/// Most sizes a plan request's grid may hold: 16x the 64 that the
+/// densest built-in scenario and the repo benchmark sweep. Replay time
+/// and memory grow with every size, and one 64 KiB request line fits
+/// over 12,000 distinct sizes.
+inline constexpr std::size_t kMaxGridPoints = 1024;
+
 /// Largest `runs` a plan request may name: 8x the largest value (2) a
 /// built-in scenario or the repo benchmark sends. Each run is one capture
 /// simulation and one pinned store entry.
@@ -112,7 +118,8 @@ inline constexpr std::uint32_t kMaxProfileRuns = 16;
 struct PlanRequest {
   std::string scenario;  // name in core::scenarios()
   /// Profiling grid (candidate partition sizes, in sets); empty keeps the
-  /// scenario's grid. Entries must be in [1, kMaxGridSets].
+  /// scenario's grid. At most kMaxGridPoints entries, each in
+  /// [1, kMaxGridSets].
   std::vector<std::uint32_t> grid;
   /// Number of jitter seeds to profile (seeds 0..runs-1); one capture per
   /// seed. At most kMaxProfileRuns.

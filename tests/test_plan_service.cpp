@@ -288,6 +288,26 @@ TEST(PlanService, FailuresComeBackAsErrorResponses) {
             std::string::npos)
       << past_limit.error;
 
+  // Replay time and memory grow with the grid's length, so it is bounded
+  // too: one past kMaxGridPoints distinct sizes is an error naming the
+  // count, and kMaxGridPoints sizes still plan.
+  std::string long_line = "mpeg2-tiny grid=1";
+  for (std::size_t s = 2; s <= kMaxGridPoints + 1; ++s) {
+    long_line += ',';
+    long_line += std::to_string(s);
+  }
+  PlanRequest long_grid;
+  ASSERT_TRUE(parse_plan_request(long_line, long_grid, parse_err)) << parse_err;
+  ASSERT_EQ(long_grid.grid.size(), kMaxGridPoints + 1);
+  const PlanResponse too_long = service.plan(long_grid);
+  EXPECT_FALSE(too_long.ok);
+  EXPECT_NE(too_long.error.find(std::to_string(kMaxGridPoints + 1) + " sizes"),
+            std::string::npos)
+      << too_long.error;
+  long_grid.grid.pop_back();
+  const PlanResponse at_limit = service.plan(long_grid);
+  EXPECT_TRUE(at_limit.ok) << at_limit.error;
+
   // Each run is a capture simulation and a pinned store entry, so the
   // run count is bounded too; the error names the value.
   PlanRequest many_runs;
