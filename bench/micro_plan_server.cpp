@@ -519,11 +519,15 @@ int main(int argc, char** argv) {
   }
   {
     Client c(tiny_port);
-    // The deadline_ms=1 request is pipelined BEHIND a full sweep on the
-    // single worker: it provably sits in the queue for the sweep's whole
-    // duration (>> 1ms), so it must come back expired, unplanned.
-    c.send_raw(plan_line(scenario, grids[0]) + "\n" +
-               plan_line(scenario, grids[2]) + " deadline_ms=1\n");
+    // The deadline_ms=1 request is pipelined BEHIND a sweep of 16 jitter
+    // runs on the single worker: it sits in the queue for that sweep's
+    // whole duration (about 5 ms of replay with every capture stored,
+    // tens of ms of capture when they are not; >> 1 ms either way), so it
+    // must come back expired, unplanned. A two-run sweep of a tiny
+    // scenario replays in under 1 ms, too short to hold the queue.
+    c.send_raw("plan " + scenario + " grid=" + grids[0].csv() +
+               " runs=16\n" + plan_line(scenario, grids[2]) +
+               " deadline_ms=1\n");
     const std::string first = c.recv_line();
     const std::string second = c.recv_line();
     if (!json_ok(first)) die("deadline phase: slow request failed: " + first);

@@ -53,9 +53,9 @@
 //        --store-l2 off|ro|rw      far-tier mode (default rw: write
 //                                  through; ro serves a frozen shared dir)
 //        --jobs N                  campaign workers per request
-//        --replay-kernel K         replay engine: auto|scalar|sse4|avx2|
+//        --replay-kernel K         replay engine: auto (fused) or
 //                                  persize (bit-identical responses; the
-//                                  resolved kernel is echoed as "kernel")
+//                                  engine is echoed as "kernel")
 //        --service-budget-bytes N  store byte budget (0 = unlimited)
 //        --service-budget-entries N  store entry budget (0 = unlimited)
 //        --plan-cache off|mem|disk memoized plan cache (default disk:

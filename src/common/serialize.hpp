@@ -160,6 +160,17 @@ class ByteReader {
     fail("malformed varint (more than 10 continuation bytes)");
   }
   std::int64_t svarint() { return unzigzag(varint()); }
+  /// A varint count of elements that each encode to at least one byte.
+  /// A count beyond the bytes left is corruption, so it fails here,
+  /// before a caller reserves by it.
+  std::uint64_t count(const char* what) {
+    const std::uint64_t n = varint();
+    if (n > remaining())
+      fail(std::string(what) + " count " + std::to_string(n) +
+           " exceeds the " + std::to_string(remaining()) +
+           " bytes left");
+    return n;
+  }
   std::string str() {
     const std::uint64_t n = varint();
     if (n > remaining()) fail("truncated while reading string");

@@ -87,22 +87,18 @@ inline ProfilerMode parse_profiler(int argc, char** argv,
 }
 
 /// Parse `--replay-kernel K` / `--replay-kernel=K` where K is `auto`
-/// (best fused path the CPU supports), `scalar`, `sse4`, `avx2` (fused
-/// kernel with the named tag-compare path; unsupported ISAs degrade to
-/// scalar at dispatch) or `persize` (legacy one-cache-per-size replay).
-/// All values are bit-identical in output — the flag trades wall-clock
-/// only. Returns `def` when absent; unknown values warn and keep `def`.
+/// (the fused multi-size replay) or `persize` (legacy one-cache-per-size
+/// replay). Both are bit-identical in output — the flag trades
+/// wall-clock only. Returns `def` when absent; unknown values warn and
+/// keep `def`.
 inline opt::ReplayKernel parse_replay_kernel(
     int argc, char** argv, opt::ReplayKernel def = opt::ReplayKernel::kAuto) {
   const auto parse_value = [def](const char* v) -> opt::ReplayKernel {
     if (std::strcmp(v, "auto") == 0) return opt::ReplayKernel::kAuto;
-    if (std::strcmp(v, "scalar") == 0) return opt::ReplayKernel::kScalar;
-    if (std::strcmp(v, "sse4") == 0) return opt::ReplayKernel::kSse4;
-    if (std::strcmp(v, "avx2") == 0) return opt::ReplayKernel::kAvx2;
     if (std::strcmp(v, "persize") == 0) return opt::ReplayKernel::kPerSize;
     std::fprintf(stderr,
                  "warning: ignoring bad --replay-kernel value '%s' "
-                 "(auto|scalar|sse4|avx2|persize)\n",
+                 "(auto|persize)\n",
                  v);
     return def;
   };
@@ -111,7 +107,7 @@ inline opt::ReplayKernel parse_replay_kernel(
       if (i + 1 < argc) return parse_value(argv[i + 1]);
       std::fprintf(stderr,
                    "warning: --replay-kernel needs a value "
-                   "(auto|scalar|sse4|avx2|persize)\n");
+                   "(auto|persize)\n");
       return def;
     }
     if (std::strncmp(argv[i], "--replay-kernel=", 16) == 0)

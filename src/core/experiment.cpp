@@ -345,13 +345,11 @@ opt::MissProfile Experiment::profile_replay(
   const Cycle surcharge = opt::miss_surcharge(cfg_.platform.hier);
   const mem::CacheConfig& l2 = cfg_.platform.hier.l2;
   const std::uint64_t l2_seed = cfg_.platform.hier.l2_seed();
-  const opt::ReplayKernel kernel =
-      opt::resolve_replay_kernel(cfg_.replay_kernel);
 
-  if (kernel == opt::ReplayKernel::kPerSize) {
+  if (cfg_.replay_kernel == opt::ReplayKernel::kPerSize) {
     // Legacy sharding: one campaign item per (capture, size) — each item
     // re-decodes every stream of its capture. Kept as the independent
-    // reference path for the fused kernels.
+    // reference path for the fused replay.
     std::vector<opt::ProfileFragment> fragments(sweep.size());
     Campaign campaign(cfg_.jobs);
     for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -385,7 +383,7 @@ opt::MissProfile Experiment::profile_replay(
   replays.reserve(jobs.size());
   for (const opt::MultiReplayJob& job : jobs)
     replays.push_back(std::make_unique<opt::MultiReplay>(
-        *job.capture, job.points, l2, l2_seed, kernel));
+        *job.capture, job.points, l2, l2_seed));
 
   Campaign campaign(cfg_.jobs);
   for (std::size_t r = 0; r < replays.size(); ++r) {

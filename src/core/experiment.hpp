@@ -78,10 +78,9 @@ struct ExperimentConfig {
   unsigned jobs = 1;
 
   /// Replay engine of kTraceReplay profiling (opt/replay_kernel_mode.hpp).
-  /// Every kernel yields bit-identical profiles; kAuto picks the widest
-  /// fused path the CPU supports, kPerSize keeps the legacy
-  /// one-cache-per-size loop (the reference the fused kernels are
-  /// verified against).
+  /// Both engines yield bit-identical profiles; kAuto runs the fused
+  /// multi-size replay, kPerSize keeps the legacy one-cache-per-size loop
+  /// (the reference the fused replay is verified against).
   opt::ReplayKernel replay_kernel = opt::ReplayKernel::kAuto;
 };
 

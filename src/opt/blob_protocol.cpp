@@ -173,11 +173,9 @@ BlobResponse decode_blob_response(const std::string& payload) {
         break;
       }
       case BlobOp::kList: {
-        const std::uint64_t n = r.varint();
         // Each row costs at least 9 bytes on the wire; a count beyond
         // what the payload could hold is corruption, not a huge store.
-        if (n > r.remaining())
-          r.fail("blob list count exceeds payload");
+        const std::uint64_t n = r.count("blob list");
         resp.rows.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
           StoreBackend::ListedBlob row;

@@ -113,7 +113,7 @@ void put_plan(serialize::ByteWriter& w, const PartitionPlan& plan) {
 
 PartitionPlan get_plan(serialize::ByteReader& rd) {
   PartitionPlan plan;
-  const std::uint64_t num_entries = rd.varint();
+  const std::uint64_t num_entries = rd.count("plan entry");
   plan.entries.reserve(num_entries);
   for (std::uint64_t i = 0; i < num_entries; ++i) {
     PlanEntry e;
@@ -220,7 +220,7 @@ PlanCacheEntry decode_plan_entry(const std::uint8_t* data, std::size_t size,
   entry.curvature_eps = get_double(rd);
   entry.profile = get_profile(rd);
   entry.plan = get_plan(rd);
-  const std::uint64_t num_predictions = rd.varint();
+  const std::uint64_t num_predictions = rd.count("prediction");
   entry.predictions.reserve(num_predictions);
   for (std::uint64_t i = 0; i < num_predictions; ++i) {
     PlanPrediction p;

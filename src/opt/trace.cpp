@@ -11,14 +11,6 @@
 
 namespace cms::opt {
 
-namespace {
-
-constexpr std::uint64_t kWriteBit = 1;
-constexpr std::uint64_t kWritebackBit = 2;
-constexpr std::uint64_t kTaskChangedBit = 4;
-
-}  // namespace
-
 void ClientTrace::append(std::uint64_t line_index, AccessType type,
                          bool l1_writeback, TaskId task) {
   const std::int64_t delta = static_cast<std::int64_t>(line_index) - last_line_;
@@ -44,27 +36,6 @@ ClientTrace ClientTrace::from_encoded(mem::ClientId client,
   t.events_ = events;
   t.buf_ = std::move(buf);
   return t;
-}
-
-ClientTrace::Reader::Reader(const ClientTrace& t)
-    : trace_(&t), rd_(t.buf_, "trace stream") {}
-
-bool ClientTrace::Reader::next(TraceEvent& ev) {
-  if (!primed_) {
-    remaining_ = trace_->events_;
-    primed_ = true;
-  }
-  if (remaining_ == 0) return false;
-  --remaining_;
-  const std::uint64_t head = rd_.varint();
-  line_ += serialize::unzigzag(head >> 3);
-  if (head & kTaskChangedBit)
-    task_ = static_cast<TaskId>(static_cast<std::int32_t>(rd_.varint()));
-  ev.line_index = static_cast<std::uint64_t>(line_);
-  ev.type = (head & kWriteBit) ? AccessType::kWrite : AccessType::kRead;
-  ev.l1_writeback = (head & kWritebackBit) != 0;
-  ev.task = task_;
-  return true;
 }
 
 const ClientTrace* AccessTrace::find(mem::ClientId client) const {
@@ -187,11 +158,13 @@ CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
   const std::string stored_digest = rd.str();
   if (digest != nullptr) *digest = stored_digest;
   capture.trace.line_bytes = static_cast<std::uint32_t>(rd.varint());
-  const std::uint64_t num_sched = rd.varint();
+  // Every count below is checked against the bytes left (each element
+  // encodes to at least one byte) before anything is reserved by it.
+  const std::uint64_t num_sched = rd.count("scheduler-client");
   capture.scheduler_clients.reserve(num_sched);
   for (std::uint64_t i = 0; i < num_sched; ++i)
     capture.scheduler_clients.push_back(get_client(rd));
-  const std::uint64_t num_tasks = rd.varint();
+  const std::uint64_t num_tasks = rd.count("task");
   capture.tasks.reserve(num_tasks);
   for (std::uint64_t i = 0; i < num_tasks; ++i) {
     CaptureTaskStats t;
@@ -202,7 +175,7 @@ CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
     t.mem_cycles = rd.varint();
     capture.tasks.push_back(std::move(t));
   }
-  const std::uint64_t num_streams = rd.varint();
+  const std::uint64_t num_streams = rd.count("stream");
   capture.trace.streams.reserve(num_streams);
   for (std::uint64_t i = 0; i < num_streams; ++i) {
     const mem::ClientId client = get_client(rd);
@@ -210,6 +183,10 @@ CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
     const std::uint64_t nbytes = rd.varint();
     if (nbytes > rd.remaining())
       rd.fail("truncated while reading stream bytes");
+    if (events > nbytes)
+      rd.fail("stream of " + client.to_string() + " claims " +
+              std::to_string(events) + " events in " +
+              std::to_string(nbytes) + " bytes");
     const std::uint8_t* p = rd.raw(static_cast<std::size_t>(nbytes));
     capture.trace.streams.push_back(ClientTrace::from_encoded(
         client, events,

@@ -95,27 +95,44 @@ class ClientTrace {
   static ClientTrace from_encoded(mem::ClientId client, std::uint64_t events,
                                   std::vector<std::uint8_t> buf);
 
-  /// Forward decoder over the stream. Throws std::runtime_error on a
-  /// corrupt encoding (defense in depth — file checksums catch disk rot
-  /// first).
+  /// Forward decoder over the stream, inline so that a pass over a whole
+  /// stream compiles into one loop. Throws std::runtime_error on a
+  /// truncated or malformed varint (defense in depth — file checksums
+  /// catch disk rot first).
   class Reader {
    public:
-    explicit Reader(const ClientTrace& t);
+    explicit Reader(const ClientTrace& t)
+        : rd_(t.buf_, "trace stream"), remaining_(t.events_) {}
     /// Decode the next event into `ev`; false at end of stream.
-    bool next(TraceEvent& ev);
+    bool next(TraceEvent& ev) {
+      if (remaining_ == 0) return false;
+      --remaining_;
+      const std::uint64_t head = rd_.varint();
+      line_ += static_cast<std::uint64_t>(serialize::unzigzag(head >> 3));
+      if (head & kTaskChangedBit)
+        task_ = static_cast<TaskId>(static_cast<std::int32_t>(rd_.varint()));
+      ev.line_index = line_;
+      ev.type = (head & kWriteBit) ? AccessType::kWrite : AccessType::kRead;
+      ev.l1_writeback = (head & kWritebackBit) != 0;
+      ev.task = task_;
+      return true;
+    }
 
    private:
-    const ClientTrace* trace_;
     serialize::ByteReader rd_;
-    std::uint64_t remaining_ = 0;
-    bool primed_ = false;
-    std::int64_t line_ = 0;
+    std::uint64_t remaining_;
+    std::uint64_t line_ = 0;  // unsigned: a corrupt delta wraps
     TaskId task_ = kInvalidTask;
   };
   Reader reader() const { return Reader(*this); }
 
  private:
   friend class Reader;
+  // Flag bits below the zigzag delta in each event's varint head.
+  static constexpr std::uint64_t kWriteBit = 1;
+  static constexpr std::uint64_t kWritebackBit = 2;
+  static constexpr std::uint64_t kTaskChangedBit = 4;
+
   mem::ClientId client_;
   std::vector<std::uint8_t> buf_;
   std::uint64_t events_ = 0;

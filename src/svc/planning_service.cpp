@@ -213,7 +213,10 @@ core::Experiment PlanningService::build_experiment(
   }
   if (req.l2_size_bytes) {
     // An L2 override smaller than one set would crash the cache model
-    // (modulo by zero sets) — reject it as a request error instead.
+    // (modulo by zero sets) — reject it as a request error instead. So
+    // is a partial set: the cache model would drop it silently (its
+    // whole-set check is only an assert), and the request would plan
+    // the rounded-down L2 under its own capture digests and cache key.
     const mem::CacheConfig& l2 = cfg.platform.hier.l2;
     const std::uint32_t set_bytes = l2.line_bytes * l2.ways;
     if (*req.l2_size_bytes < set_bytes)
@@ -221,6 +224,11 @@ core::Experiment PlanningService::build_experiment(
           "plan request l2_size_bytes " + std::to_string(*req.l2_size_bytes) +
           " is smaller than one set (" + std::to_string(set_bytes) +
           " bytes)");
+    if (*req.l2_size_bytes % set_bytes != 0)
+      throw std::invalid_argument(
+          "plan request l2_size_bytes " + std::to_string(*req.l2_size_bytes) +
+          " is not a whole number of sets (" + std::to_string(set_bytes) +
+          " bytes each)");
     cfg.platform.hier.l2.size_bytes = *req.l2_size_bytes;
   }
   if (req.curvature_eps) {
@@ -570,8 +578,7 @@ void PlanningService::run_request(const core::Experiment& exp,
       // any deferred captures — see ensure_capture). Replay the UNION
       // grid once; the fused multi-size kernel makes the extra columns
       // nearly free.
-      resp.replay_kernel = opt::to_string(
-          opt::resolve_replay_kernel(exp.config().replay_kernel));
+      resp.replay_kernel = opt::to_string(exp.config().replay_kernel);
       sweeps_started_.fetch_add(1, std::memory_order_relaxed);
       if (cfg_.sweep_started) cfg_.sweep_started(scenario, union_grid);
       const auto tp = Clock::now();

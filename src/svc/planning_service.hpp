@@ -228,13 +228,12 @@ struct PlanResponse {
   /// 0 on plan-cache hits and errors.
   std::uint32_t union_points = 0;
 
-  /// Replay engine that produced the profile, RESOLVED to what actually
-  /// executed ("avx2", "sse4", "scalar" or "persize" — never "auto"), or
-  /// "cache" when the response came from the plan cache and no replay ran
-  /// at all. Provenance only: kernels are bit-identical by contract, so
-  /// cached entries are kernel-independent (bench/micro_plan_service
-  /// asserts a cache hit matches a response computed under a DIFFERENT
-  /// kernel bit-for-bit).
+  /// Replay engine that produced the profile ("auto" for the fused
+  /// replay, or "persize"), or "cache" when the response came from the
+  /// plan cache and no replay ran at all. Provenance only: the engines
+  /// are bit-identical by contract, so cached entries are
+  /// kernel-independent (bench/micro_plan_service asserts a cache hit
+  /// matches a response computed under a DIFFERENT kernel bit-for-bit).
   std::string replay_kernel;
 
   /// Pin + store-probe + ensure-capture phase (see kDeferred for the ro
@@ -276,7 +275,7 @@ struct PlanningServiceConfig {
   std::shared_ptr<opt::PlanCache> plan_cache;
   /// Replay engine for the profiling sweeps (--replay-kernel). Any value
   /// yields bit-identical responses; the flag trades wall-clock only, and
-  /// the resolved kernel is echoed in PlanResponse::replay_kernel.
+  /// the engine is echoed in PlanResponse::replay_kernel.
   opt::ReplayKernel replay_kernel = opt::ReplayKernel::kAuto;
   /// Sweep-coalescing merge window: a sweep leader holds its sweep OPEN
   /// for AT MOST this long after it was registered, so every request of

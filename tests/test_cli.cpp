@@ -89,18 +89,23 @@ opt::ReplayKernel kernel_of(std::vector<const char*> args,
 
 TEST(ParseReplayKernel, AcceptsAllEngines) {
   EXPECT_EQ(kernel_of({"--replay-kernel", "auto"}), opt::ReplayKernel::kAuto);
-  EXPECT_EQ(kernel_of({"--replay-kernel=scalar"}),
-            opt::ReplayKernel::kScalar);
-  EXPECT_EQ(kernel_of({"--replay-kernel", "sse4"}), opt::ReplayKernel::kSse4);
-  EXPECT_EQ(kernel_of({"--replay-kernel=avx2"}), opt::ReplayKernel::kAvx2);
+  EXPECT_EQ(kernel_of({"--replay-kernel=auto"}), opt::ReplayKernel::kAuto);
   EXPECT_EQ(kernel_of({"--replay-kernel", "persize"}),
             opt::ReplayKernel::kPerSize);
 }
 
 TEST(ParseReplayKernel, DefaultAndBadValues) {
   EXPECT_EQ(kernel_of({}), opt::ReplayKernel::kAuto);
-  EXPECT_EQ(kernel_of({}, opt::ReplayKernel::kScalar),
-            opt::ReplayKernel::kScalar);
+  EXPECT_EQ(kernel_of({}, opt::ReplayKernel::kPerSize),
+            opt::ReplayKernel::kPerSize);
+  // scalar, sse4 and avx2 name no engine: they warn and keep the default.
+  for (const char* removed : {"scalar", "sse4", "avx2"}) {
+    EXPECT_EQ(kernel_of({"--replay-kernel", removed}),
+              opt::ReplayKernel::kAuto);
+    EXPECT_EQ(kernel_of({"--replay-kernel", removed},
+                        opt::ReplayKernel::kPerSize),
+              opt::ReplayKernel::kPerSize);
+  }
   EXPECT_EQ(kernel_of({"--replay-kernel=avx512"}), opt::ReplayKernel::kAuto);
   EXPECT_EQ(kernel_of({"--replay-kernel"}), opt::ReplayKernel::kAuto);
   EXPECT_EQ(kernel_of({"--replay-kernel=AVX2"}), opt::ReplayKernel::kAuto);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "opt/plan_cache.hpp"
 #include "opt/trace_store.hpp"
 
@@ -577,6 +578,53 @@ class PlanCacheAnyBackend : public ::testing::TestWithParam<BackendKind> {
   TempDir tmp_;
   std::shared_ptr<MemBackend> mem_;
 };
+
+/// A plan cache file written field by field, sealed with a recomputed
+/// trailer: an empty profile, `entries` plan entries and, when that is
+/// 0, an empty plan and `predictions` predictions. Nothing follows a
+/// nonzero count.
+std::vector<std::uint8_t> crafted_plan_entry(const std::string& digest,
+                                             std::uint64_t entries,
+                                             std::uint64_t predictions) {
+  serialize::ByteWriter w;
+  for (const char c : kPlanMagic) w.u8(static_cast<std::uint8_t>(c));
+  w.fixed32(kPlanFormatVersion);
+  w.str(digest);
+  w.fixed64(0);  // curvature_eps
+  w.varint(0);   // profile tasks
+  w.varint(entries);
+  if (entries == 0) {
+    for (int field = 0; field < 4; ++field) w.varint(0);  // set counts
+    w.fixed64(0);  // expected_task_misses
+    w.u8(0);       // feasible
+    w.varint(predictions);
+  }
+  w.fixed64(serialize::fnv1a64(w.bytes().data(), w.size()));
+  return w.take();
+}
+
+// A count the payload cannot hold is corruption: std::runtime_error from
+// the decoder and from the cache, never std::length_error or
+// std::bad_alloc from reserving by it.
+TEST_P(PlanCacheAnyBackend, CountsBeyondThePayloadThrow) {
+  const auto good = crafted_plan_entry("good", 0, 0);
+  EXPECT_NO_THROW(decode_plan_entry(good.data(), good.size(), "good"));
+  std::size_t n = 0;
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    for (const bool in_predictions : {false, true}) {
+      const std::string key = "crafted-" + std::to_string(n++);
+      const std::vector<std::uint8_t> bytes = crafted_plan_entry(
+          key, in_predictions ? 0 : count, in_predictions ? count : 0);
+      EXPECT_THROW(decode_plan_entry(bytes.data(), bytes.size(), key),
+                   std::runtime_error)
+          << key;
+      backend()->put(BlobKind::kPlan, key, bytes);
+      PlanCache cache(config());
+      EXPECT_THROW(cache.get(key), std::runtime_error) << key;
+    }
+  }
+}
 
 TEST_P(PlanCacheAnyBackend, FreshInstanceWarmHitsAcrossRestarts) {
   {

@@ -330,6 +330,21 @@ TEST(PlanService, FailuresComeBackAsErrorResponses) {
   EXPECT_NE(r4.error.find("smaller than one set"), std::string::npos)
       << r4.error;
 
+  // Nor may it hold a partial set (mpeg2-tiny's sets are 256 bytes): the
+  // cache model would round it down to whole sets. The error names the
+  // value, and a whole number of sets still plans.
+  PlanRequest partial_l2;
+  ASSERT_TRUE(parse_plan_request("mpeg2-tiny l2=1000", partial_l2, parse_err))
+      << parse_err;
+  const PlanResponse partial = service.plan(partial_l2);
+  EXPECT_FALSE(partial.ok);
+  EXPECT_NE(partial.error.find("1000 is not a whole number of sets"),
+            std::string::npos)
+      << partial.error;
+  partial_l2.l2_size_bytes = 768;
+  const PlanResponse whole = service.plan(partial_l2);
+  EXPECT_TRUE(whole.ok) << whole.error;
+
   // A scenario without a trace_key cannot be content-addressed.
   static bool registered = false;
   if (!registered) {

@@ -1,13 +1,11 @@
 // Tests for the fused multi-size replay kernel (opt/replay_kernel.hpp):
-// bit-identity of every kernel variant — scalar, SSE4, AVX2 and the
-// auto-dispatched one — against the per-size reference replay, over the
-// built-in scenarios (LRU, counter-based kRandom, the dense 64-point
-// grid) and at several campaign worker counts; synthetic captures pin
-// the FIFO and write-through-no-allocate cache paths, the non-power-of-2
-// set counts the Lemire fast-mod handles, the trace-to-L2 line-size
-// rescale, and the split between lanes that replay and lanes that take
-// their stream's first-touch counts; plus the runtime dispatch rules
-// themselves.
+// bit-identity of the fused replay against the per-size reference
+// replay, over the built-in scenarios (LRU, counter-based kRandom, the
+// dense 64-point grid) and at several campaign worker counts; synthetic
+// captures pin the FIFO and write-through-no-allocate cache paths, the
+// non-power-of-2 set counts the Lemire fast-mod handles, trace-to-L2
+// line-size rescales in both directions, and the split between lanes
+// that replay and lanes that take their stream's first-touch counts.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -16,20 +14,12 @@
 #include <string>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "core/scenario.hpp"
 #include "opt/replay_kernel.hpp"
 #include "opt/trace.hpp"
 
 namespace cms::opt {
 namespace {
-
-// Every fused engine, including the auto dispatcher. Explicit SIMD
-// requests degrade to scalar on hosts without the ISA, so the list is
-// valid (and the identity checks meaningful) on any machine.
-const ReplayKernel kFusedKernels[] = {
-    ReplayKernel::kScalar, ReplayKernel::kSse4, ReplayKernel::kAvx2,
-    ReplayKernel::kAuto};
 
 // ---- built-in scenarios: fused engines vs the per-size reference ----
 
@@ -41,24 +31,21 @@ MissProfile persize_reference(const core::Experiment& exp,
 }
 
 MissProfile fused_profile(const core::Experiment& exp,
-                          const std::vector<CaptureRun>& captures,
-                          ReplayKernel kernel) {
+                          const std::vector<CaptureRun>& captures) {
   const auto& hier = exp.config().platform.hier;
   return replay_profile_multi(exp.multi_replay_jobs(captures), hier.l2,
-                              hier.l2_seed(), miss_surcharge(hier), kernel);
+                              hier.l2_seed(), miss_surcharge(hier),
+                              ReplayKernel::kAuto);
 }
 
 class ReplayKernelScenario : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(ReplayKernelScenario, EveryKernelMatchesPerSizeReference) {
+TEST_P(ReplayKernelScenario, FusedMatchesPerSizeReference) {
   const core::Experiment exp = core::scenarios().make_experiment(
       GetParam(), 1, core::ProfilerMode::kTraceReplay);
   const std::vector<CaptureRun> captures = exp.capture_runs();
-  const MissProfile ref = persize_reference(exp, captures);
-  for (const ReplayKernel k : kFusedKernels)
-    EXPECT_TRUE(ref.identical(fused_profile(exp, captures, k)))
-        << "kernel " << to_string(k) << " (resolved "
-        << to_string(resolve_replay_kernel(k)) << ")";
+  EXPECT_TRUE(persize_reference(exp, captures)
+                  .identical(fused_profile(exp, captures)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -73,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The Experiment-level path: profile() routed through the fused kernel
+// The Experiment-level path: profile() routed through the fused replay
 // must be worker-count invariant (the campaign shards per stream, the
 // fold is serial) and match the per-size engine at every count.
 TEST(ReplayKernelExperiment, WorkerCountAndKernelInvariant) {
@@ -90,10 +77,6 @@ TEST(ReplayKernelExperiment, WorkerCountAndKernelInvariant) {
       EXPECT_TRUE(ref.identical(exp.profile()))
           << name << " auto jobs=" << jobs;
     }
-    const core::Experiment scalar2 = core::scenarios().make_experiment(
-        name, 2, core::ProfilerMode::kTraceReplay, nullptr,
-        ReplayKernel::kScalar);
-    EXPECT_TRUE(ref.identical(scalar2.profile())) << name << " scalar jobs=2";
   }
 }
 
@@ -180,35 +163,51 @@ struct FusedRun {
 };
 
 FusedRun synth_fused(const CaptureRun& c, const mem::CacheConfig& l2,
-                     const std::vector<std::uint32_t>& sizes,
-                     ReplayKernel kernel) {
+                     const std::vector<std::uint32_t>& sizes) {
   std::vector<ReplayGridPoint> points;
   for (std::size_t i = 0; i < sizes.size(); ++i)
     points.push_back({synth_plan(c, sizes[i]), sizes[i], i});
-  MultiReplay mr(c, std::move(points), l2, kSeed, kernel);
+  MultiReplay mr(c, std::move(points), l2, kSeed);
   for (std::size_t s = 0; s < mr.num_streams(); ++s) mr.replay_stream(s);
   return {fold_fragments(mr.fragments(kSurcharge)), mr.lanes(),
           mr.lanes_replayed()};
 }
 
-/// Every fused kernel against the per-size reference. Returns the lanes
-/// the kernels replayed exactly, which must not depend on the kernel.
+/// The fused replay against the per-size reference. Returns the lanes it
+/// replayed event by event.
 std::size_t expect_synth_identity(
     const CaptureRun& c, const mem::CacheConfig& l2,
     const std::vector<std::uint32_t>& sizes = kSynthSizes) {
-  const MissProfile ref = synth_reference(c, l2, sizes);
-  std::size_t replayed = 0;
-  for (const ReplayKernel k : kFusedKernels) {
-    const FusedRun run = synth_fused(c, l2, sizes, k);
-    EXPECT_TRUE(ref.identical(run.profile))
-        << "kernel " << to_string(k) << " l2 " << l2.to_string();
-    EXPECT_EQ(run.lanes, c.trace.streams.size() * sizes.size());
-    if (k != kFusedKernels[0]) {
-      EXPECT_EQ(run.lanes_replayed, replayed) << "kernel " << to_string(k);
-    }
-    replayed = run.lanes_replayed;
-  }
-  return replayed;
+  const FusedRun run = synth_fused(c, l2, sizes);
+  EXPECT_TRUE(synth_reference(c, l2, sizes).identical(run.profile))
+      << "l2 " << l2.to_string() << " capture lines "
+      << c.trace.line_bytes << " B";
+  EXPECT_EQ(run.lanes, c.trace.streams.size() * sizes.size());
+  return run.lanes_replayed;
+}
+
+/// A 16 KB, 4-way L2 with the given policies.
+mem::CacheConfig span_l2(mem::Replacement replacement,
+                         mem::WritePolicy write_policy) {
+  mem::CacheConfig l2;
+  l2.size_bytes = 16 * 1024;
+  l2.ways = 4;
+  l2.replacement = replacement;
+  l2.write_policy = write_policy;
+  return l2;
+}
+
+/// span_l2 under every replacement policy and both write policies.
+std::vector<mem::CacheConfig> every_policy() {
+  std::vector<mem::CacheConfig> out;
+  for (const mem::Replacement r :
+       {mem::Replacement::kLru, mem::Replacement::kFifo,
+        mem::Replacement::kRandom})
+    for (const mem::WritePolicy w :
+         {mem::WritePolicy::kWriteBackAllocate,
+          mem::WritePolicy::kWriteThroughNoAllocate})
+      out.push_back(span_l2(r, w));
+  return out;
 }
 
 TEST(ReplayKernelSynthetic, FifoReplacement) {
@@ -240,12 +239,14 @@ TEST(ReplayKernelSynthetic, RandomReplacementWithNoAllocate) {
 }
 
 // Captures recorded at a different line size than the replay L2 rescale
-// line indices on both engines identically.
+// line indices on both engines identically. 128-byte captured lines are
+// two L2 lines each, so every captured line keeps its own tag; 32-byte
+// lines share one tag in pairs, which a lane may hold in two sets at
+// once.
 TEST(ReplayKernelSynthetic, LineBytesRescale) {
-  mem::CacheConfig l2;
-  l2.size_bytes = 16 * 1024;
-  l2.ways = 4;
-  expect_synth_identity(synth_capture(/*line_bytes=*/128), l2);
+  for (const std::uint32_t line_bytes : {128u, 32u})
+    for (const mem::CacheConfig& l2 : every_policy())
+      expect_synth_identity(synth_capture(line_bytes), l2);
 }
 
 // Every lane above spans hundreds of lines in at most 8 sets x 4 ways,
@@ -308,15 +309,6 @@ constexpr std::size_t kSpanLanes = 3 * 6;
 constexpr std::size_t kSpanEvictingAllocate = 2 + 3 + 6;
 constexpr std::size_t kSpanEvictingNoAllocate = 2 + 3 + 0;
 
-mem::CacheConfig span_l2(mem::Replacement replacement,
-                         mem::WritePolicy write_policy) {
-  mem::CacheConfig l2;
-  l2.size_bytes = 16 * 1024;
-  l2.ways = 4;
-  l2.replacement = replacement;
-  l2.write_policy = write_policy;
-  return l2;
-}
 
 TEST(ReplayKernelFirstTouch, EvictingLanesReplayTheRestTakeFirstTouches) {
   const CaptureRun c = span_capture();
@@ -340,13 +332,12 @@ TEST(ReplayKernelFirstTouch, EvictingLanesReplayTheRestTakeFirstTouches) {
 // captured line but tags by the L2's, so its first touches differ per
 // lane: every lane replays.
 TEST(ReplayKernelFirstTouch, RescaledCaptureReplaysEveryLane) {
-  const CaptureRun c = span_capture(/*line_bytes=*/128);
-  EXPECT_EQ(expect_synth_identity(
-                c,
-                span_l2(mem::Replacement::kLru,
-                        mem::WritePolicy::kWriteBackAllocate),
-                kSpanSizes),
-            kSpanLanes);
+  for (const std::uint32_t line_bytes : {128u, 32u})
+    for (const mem::CacheConfig& l2 : every_policy())
+      EXPECT_EQ(expect_synth_identity(span_capture(line_bytes), l2,
+                                      kSpanSizes),
+                kSpanLanes)
+          << line_bytes << " B captured lines, " << l2.to_string();
 }
 
 TEST(ReplayKernelSynthetic, UnplannedClientThrows) {
@@ -355,53 +346,28 @@ TEST(ReplayKernelSynthetic, UnplannedClientThrows) {
   plan->entries.pop_back();  // drop the buffer stream's entry
   const mem::CacheConfig l2;
   std::vector<ReplayGridPoint> points = {{plan, 2, 0}};
-  EXPECT_THROW(MultiReplay(c, points, l2, kSeed, ReplayKernel::kScalar),
-               std::invalid_argument);
+  EXPECT_THROW(MultiReplay(c, points, l2, kSeed), std::invalid_argument);
   EXPECT_THROW(replay_fragment(c, *plan, l2, kSeed, 2, 0, kSurcharge),
                std::invalid_argument);
 }
 
-// ---- runtime dispatch ----
-
-TEST(ReplayKernelDispatch, ResolveRules) {
-  // Fixed points: scalar and the legacy per-size engine resolve to
-  // themselves regardless of the host.
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kScalar),
-            ReplayKernel::kScalar);
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kPerSize),
-            ReplayKernel::kPerSize);
-
-  const bool avx2 = have_avx2_kernel() && common::simd_has(common::kSimdAvx2);
-  const bool sse4 = have_sse4_kernel() &&
-                    common::simd_has(common::kSimdSse41 | common::kSimdSse42);
-
-  // Auto picks the widest available ISA.
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kAuto),
-            avx2 ? ReplayKernel::kAvx2
-                 : sse4 ? ReplayKernel::kSse4 : ReplayKernel::kScalar);
-
-  // Explicit SIMD requests degrade to scalar (never sideways to another
-  // ISA) when the build or CPU lacks them.
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kAvx2),
-            avx2 ? ReplayKernel::kAvx2 : ReplayKernel::kScalar);
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kSse4),
-            sse4 ? ReplayKernel::kSse4 : ReplayKernel::kScalar);
-}
-
-TEST(ReplayKernelDispatch, KernelNames) {
-  EXPECT_STREQ(to_string(ReplayKernel::kAuto), "auto");
-  EXPECT_STREQ(to_string(ReplayKernel::kScalar), "scalar");
-  EXPECT_STREQ(to_string(ReplayKernel::kSse4), "sse4");
-  EXPECT_STREQ(to_string(ReplayKernel::kAvx2), "avx2");
-  EXPECT_STREQ(to_string(ReplayKernel::kPerSize), "persize");
-}
-
-TEST(ReplayKernelDispatch, MultiReplayNeverRunsPerSize) {
-  const CaptureRun c = synth_capture();
+// The one decode is bounds-checked like ClientTrace::Reader: a stream
+// whose bytes end mid-event throws instead of reading past them.
+TEST(ReplayKernelSynthetic, TruncatedStreamThrows) {
+  CaptureRun c = synth_capture();
+  const ClientTrace& whole = c.trace.streams[0];
+  std::vector<std::uint8_t> bytes = whole.encoded();
+  bytes.resize(bytes.size() / 2);
+  c.trace.streams[0] = ClientTrace::from_encoded(
+      whole.client(), whole.events(), std::move(bytes));
   std::vector<ReplayGridPoint> points = {{synth_plan(c, 2), 2, 0}};
-  const MultiReplay mr(c, std::move(points), mem::CacheConfig(), kSeed,
-                       ReplayKernel::kPerSize);
-  EXPECT_EQ(mr.kernel(), ReplayKernel::kScalar);
+  MultiReplay mr(c, std::move(points), mem::CacheConfig(), kSeed);
+  EXPECT_THROW(mr.replay_stream(0), std::runtime_error);
+}
+
+TEST(ReplayKernelNames, KernelNames) {
+  EXPECT_STREQ(to_string(ReplayKernel::kAuto), "auto");
+  EXPECT_STREQ(to_string(ReplayKernel::kPerSize), "persize");
 }
 
 }  // namespace

@@ -57,6 +57,22 @@ TEST(ClientTrace, ReaderIsRestartable) {
   }
 }
 
+// The reader rejects bytes that end mid-varint, and a varint longer than
+// 10 bytes, with std::runtime_error.
+TEST(ClientTrace, ReaderRejectsCorruptEncodings) {
+  ClientTrace t(mem::ClientId::task(0));
+  t.append(1u << 20, AccessType::kRead, false, 0);  // a multi-byte head
+  std::vector<std::uint8_t> truncated = t.encoded();
+  truncated.pop_back();
+  const std::vector<std::uint8_t> overlong(11, 0x80);
+  for (const std::vector<std::uint8_t>& bytes : {truncated, overlong}) {
+    const ClientTrace bad = ClientTrace::from_encoded(t.client(), 1, bytes);
+    auto rd = bad.reader();
+    TraceEvent ev;
+    EXPECT_THROW(rd.next(ev), std::runtime_error);
+  }
+}
+
 TEST(TraceRecorder, GroupsByClientAndSorts) {
   TraceRecorder rec(64);
   rec.on_l2_access({mem::ClientId::buffer(2), 0, 0x100 * 64, AccessType::kRead, false});

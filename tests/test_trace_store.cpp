@@ -1,8 +1,9 @@
 // Tests for the trace file format (opt/trace.hpp encode/decode) and the
 // content-addressed TraceStore (opt/trace_store.hpp): exact round trips,
 // every failure path of the on-disk format as the store reads it
-// (truncation, bad magic, future schema version, checksum mismatch — all
-// std::runtime_error with the offending path), digest keying, and
+// (truncation, bad magic, future schema version, checksum mismatch, a
+// checksum-valid count the payload cannot hold — all std::runtime_error,
+// with the offending path), digest keying, and
 // warm-starting Experiment profiling from the store.
 #include <gtest/gtest.h>
 
@@ -12,12 +13,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "opt/trace.hpp"
@@ -646,6 +649,72 @@ TEST_P(TraceStoreAnyBackend, CorruptEntryThrowsInsteadOfServing) {
                  StoreBackend::Blob{'n', 'o', 't', 'a', 't', 'r', 'a', 'c',
                                     'e'});
   expect_error_mentioning([&] { store.load("bad"); }, "bad");
+}
+
+/// A capture file whose counts `fill` writes by hand after the header,
+/// digest and line size, sealed with a recomputed trailer. FNV-1a is
+/// easy to recompute, so a checksum-valid file can still claim any count.
+std::vector<std::uint8_t> crafted_capture(
+    const std::string& digest,
+    const std::function<void(serialize::ByteWriter&)>& fill) {
+  serialize::ByteWriter w;
+  for (const char c : kTraceMagic) w.u8(static_cast<std::uint8_t>(c));
+  w.fixed32(kTraceFormatVersion);
+  w.str(digest);
+  w.varint(64);  // line_bytes
+  fill(w);
+  w.fixed64(serialize::fnv1a64(w.bytes().data(), w.size()));
+  return w.take();
+}
+
+/// One stream of `events` events in `nbytes` bytes, after empty
+/// scheduler-client and task tables.
+void one_stream(serialize::ByteWriter& w, std::uint64_t events,
+                std::uint64_t nbytes) {
+  w.varint(0);  // scheduler clients
+  w.varint(0);  // tasks
+  w.varint(1);  // streams
+  w.u8(static_cast<std::uint8_t>(mem::ClientId::task(0).kind));
+  w.svarint(0);
+  w.varint(events);
+  w.varint(nbytes);
+  for (std::uint64_t i = 0; i < nbytes; ++i) w.u8(0);
+}
+
+// A count the payload cannot hold is corruption: std::runtime_error from
+// the decoder and from the store, never std::length_error or
+// std::bad_alloc from reserving by it, and never a stream that fails
+// only later, mid-replay.
+TEST_P(TraceStoreAnyBackend, CountsBeyondThePayloadThrow) {
+  constexpr std::uint64_t k40 = std::uint64_t{1} << 40;
+  constexpr std::uint64_t k62 = std::uint64_t{1} << 62;
+  const std::vector<std::function<void(serialize::ByteWriter&)>> bad = {
+      [&](serialize::ByteWriter& w) { w.varint(0); w.varint(k62); },
+      [&](serialize::ByteWriter& w) { w.varint(0); w.varint(k40); },
+      [&](serialize::ByteWriter& w) { w.varint(k40); },
+      [&](serialize::ByteWriter& w) {
+        w.varint(0);
+        w.varint(0);
+        w.varint(k40);
+      },
+      [&](serialize::ByteWriter& w) { one_stream(w, k40, 16); },
+  };
+  const TraceStore store(backend());
+  // The same layout with counts it can hold decodes.
+  const auto good = crafted_capture(
+      "good", [](serialize::ByteWriter& w) { one_stream(w, 16, 16); });
+  EXPECT_EQ(decode_capture(good.data(), good.size(), "good")
+                .trace.total_events(),
+            16u);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const std::string digest = "crafted-" + std::to_string(i);
+    const std::vector<std::uint8_t> bytes = crafted_capture(digest, bad[i]);
+    EXPECT_THROW(decode_capture(bytes.data(), bytes.size(), digest),
+                 std::runtime_error)
+        << digest;
+    backend()->put(BlobKind::kTrace, digest, bytes);
+    EXPECT_THROW(store.load(digest), std::runtime_error) << digest;
+  }
 }
 
 TEST_P(TraceStoreAnyBackend, MislabeledEntryIsRejected) {
