@@ -31,7 +31,6 @@ namespace cms::bench {
 using core::has_flag;
 using core::parse_jobs;
 using core::parse_profiler;
-using core::parse_replay_kernel;
 using core::parse_store_l2;
 using core::parse_store_l2_dir;
 using core::parse_store_l2_target;

@@ -8,12 +8,7 @@
 // instance over the same directory (a process restart, disk tier) must
 // answer from the cache alone — zero captures, zero store loads, zero
 // MCKP solves — with an assignment and predictions bit-identical to the
-// computed ones. The priming service is pinned to the legacy per-size
-// replay engine while every other service resolves its own (auto)
-// kernel, so the bit-identity checks double as the kernel-independence
-// contract: a cached plan must match plans computed under a DIFFERENT
-// kernel, and must report the "cache" sentinel rather than any engine
-// name. Verifies that every response succeeds, that all
+// computed ones. Verifies that every response succeeds, that all
 // assignments are bit-identical to each other and to a direct
 // store-served Experiment plan (opt::PartitionPlan::identical), that the
 // warm pass never captures, and that the plan-cached service answers
@@ -162,12 +157,9 @@ int main(int argc, char** argv) {
       const auto prime_backend = make_backend();
       const auto cache =
           svc::open_plan_cache(cache_mode, prime_backend, mode, cache_budget);
-      // Prime under the per-size reference engine: the cached service
-      // below resolves its own kernel (auto), so the identity checks
-      // prove cached plans are kernel-independent.
       svc::PlanningService prime_service(
           {svc::open_service_store(prime_backend, mode, capacity), jobs,
-           nullptr, cache, opt::ReplayKernel::kPerSize});
+           nullptr, cache});
       primed = prime_service.plan(req);
       const bool restart = cache_mode == core::PlanCacheMode::kDisk &&
                            mode != core::TraceMode::kReadOnly;
@@ -200,13 +192,6 @@ int main(int argc, char** argv) {
            cached.captured() == 0 && cached.store_hits() == 0 &&
            cached.profile_ms == 0.0 && cached.plan_ms == 0.0 &&
            cached_hits == cached_requests && cached_requests == 1;
-      // Kernel provenance: a cache hit reports the "cache" sentinel, and
-      // the priming pass (unless it too hit a pre-warmed disk tier) ran
-      // the per-size engine — different from the auto kernel every other
-      // service used, making the bit-identity above kernel-independent.
-      ok = ok && cached.replay_kernel == "cache" &&
-           (primed.plan_source == svc::PlanSource::kCache ||
-            primed.replay_kernel == "persize");
       identical = identical && cached.assignment.identical(cold.assignment) &&
                   cached.assignment.identical(primed.assignment);
       bool predictions_match = cached.tasks.size() == primed.tasks.size();

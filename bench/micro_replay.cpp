@@ -7,37 +7,37 @@
 // Exits nonzero on any profile mismatch, or when a scenario's mean t_i
 // reconstruction error exceeds kMaxMeanReconError.
 //
-//   ./micro_replay [--jobs N] [--quick] [--replay-kernel K]
+//   ./micro_replay [--jobs N] [--quick]
 //   {"bench": "micro_replay", "scenarios": [{"scenario": "mpeg2-tiny",
 //    "identical": true, "engine_runs": {"fullsim": 5, "replay": 1},
 //    "ms": {"fullsim": ..., "replay": ...}, "speedup": ...,
 //    "t_recon_rel_err": {"mean": ..., "max": ...}}, ...],
-//    "kernel": "auto", "max_mean_recon_err": 0.10, "identical": true,
+//    "max_mean_recon_err": 0.10, "identical": true,
 //    "recon_within_bound": true}
 //
-// Kernel-comparison mode (--compare-kernels): capture once per scenario,
+// Engine-comparison mode (--compare-kernels): capture once per scenario,
 // then time the REPLAY HALF ALONE under every engine — full simulation,
-// the legacy per-size loop and the fused replay — and verify every
-// profile against the per-size reference. `lanes` counts (stream, grid
-// point) pairs and `lanes_replayed` those the fused replay replays event
-// by event; the rest never evict and take their stream's first-touch
-// counts.
+// the reference sweep (opt::replay_profile_reference: one replay_fragment
+// per grid point) and the fused replay — and verify every profile
+// against the reference. `lanes` counts (stream, grid point) pairs and
+// `lanes_replayed` those the fused replay replays event by event; the
+// rest never evict and take their stream's first-touch counts.
 //
 //   ./micro_replay --compare-kernels [--jobs N]
 //   {"bench": "micro_replay", "mode": "compare-kernels", "scenarios": [
 //    {"scenario": "jpeg-canny-dense", "events": 123456, "grid_points": 64,
 //     "lanes": 2304, "lanes_replayed": 153,
-//     "engines": [{"kernel": "fullsim", ...},
-//                 {"kernel": "persize", "ms": ..., "speedup_vs_persize": 1.0,
-//                  "identical": true},
-//                 {"kernel": "auto", "ms": ..., ...}]}, ...],
+//     "engines": [{"engine": "fullsim", ...},
+//                 {"engine": "reference", "ms": ...,
+//                  "speedup_vs_reference": 1.0, "identical": true},
+//                 {"engine": "fused", "ms": ..., ...}]}, ...],
 //    "identical": true}
 //
 // Flags: --jobs N            campaign workers (0 = hardware)
 //        --quick             tiny scenarios only (CI smoke on slow hosts)
-//        --replay-kernel K   auto|persize (default auto)
 //        --profile-out FILE  dump the replay profile (MissProfile rows) to
-//                            FILE — CI diffs persize vs auto dumps
+//                            FILE — CI diffs the full run's dump against
+//                            the committed bench/micro_replay_profile.txt
 //        --compare-kernels   per-engine timing mode (see above)
 #include <chrono>
 #include <cmath>
@@ -106,13 +106,13 @@ std::string parse_profile_out(int argc, char** argv) {
   return {};
 }
 
-/// The per-kernel timing mode: replay-only wall-clock of every engine
+/// The per-engine timing mode: replay-only wall-clock of every engine
 /// over the same captures, each verified bit-identical against the
-/// per-size reference. Returns false on any mismatch.
+/// reference sweep. Returns false on any mismatch.
 bool compare_kernels(unsigned jobs,
                      const std::shared_ptr<opt::TraceStore>& store) {
   // tiny (LRU), tiny kRandom (counter-based RNG path), and the dense
-  // 64-point grid the fused kernel exists for.
+  // 64-point grid the fused replay exists for.
   const std::vector<std::string> names = {"jpeg-canny-tiny",
                                           "mpeg2-tiny-rand",
                                           "jpeg-canny-dense"};
@@ -134,16 +134,16 @@ bool compare_kernels(unsigned jobs,
     std::uint64_t events = 0;
     for (const opt::CaptureRun& c : captures)
       events += c.trace.total_events();
-    const std::vector<opt::ReplayJob> per_size = exp.replay_jobs(captures);
-    const std::vector<opt::MultiReplayJob> fused =
+    const std::vector<opt::MultiReplayJob> sweep =
         exp.multi_replay_jobs(captures);
 
     opt::MissProfile ref;
-    const double persize_ms = wall_ms(
-        [&] { ref = opt::replay_profile(per_size, l2, l2_seed, surcharge); });
+    const double ref_ms = wall_ms([&] {
+      ref = opt::replay_profile_reference(sweep, l2, l2_seed, surcharge);
+    });
 
     std::size_t lanes = 0, lanes_replayed = 0;
-    for (const opt::MultiReplayJob& job : fused) {
+    for (const opt::MultiReplayJob& job : sweep) {
       opt::MultiReplay mr(*job.capture, job.points, l2, l2_seed);
       for (std::size_t st = 0; st < mr.num_streams(); ++st)
         mr.replay_stream(st);
@@ -166,27 +166,25 @@ bool compare_kernels(unsigned jobs,
           [&] { full = exp.profile_with(core::ProfilerMode::kFullSim); });
       const bool identical = ref.identical(full);
       all_identical = all_identical && identical;
-      std::printf("{\"kernel\": \"fullsim\", \"ms\": %.1f, "
-                  "\"speedup_vs_persize\": %.2f, \"identical\": %s}",
-                  ms, ms > 0.0 ? persize_ms / ms : 0.0,
+      std::printf("{\"engine\": \"fullsim\", \"ms\": %.1f, "
+                  "\"speedup_vs_reference\": %.2f, \"identical\": %s}",
+                  ms, ms > 0.0 ? ref_ms / ms : 0.0,
                   identical ? "true" : "false");
     }
-    std::printf(", {\"kernel\": \"persize\", \"ms\": %.1f, "
-                "\"speedup_vs_persize\": 1.00, \"identical\": true}",
-                persize_ms);
+    std::printf(", {\"engine\": \"reference\", \"ms\": %.1f, "
+                "\"speedup_vs_reference\": 1.00, \"identical\": true}",
+                ref_ms);
 
     {
       opt::MissProfile prof;
       const double ms = wall_ms([&] {
-        prof = opt::replay_profile_multi(fused, l2, l2_seed, surcharge,
-                                         opt::ReplayKernel::kAuto);
+        prof = opt::replay_profile_multi(sweep, l2, l2_seed, surcharge);
       });
       const bool identical = ref.identical(prof);
       all_identical = all_identical && identical;
-      std::printf(", {\"kernel\": \"%s\", \"ms\": %.1f, "
-                  "\"speedup_vs_persize\": %.2f, \"identical\": %s}",
-                  opt::to_string(opt::ReplayKernel::kAuto), ms,
-                  ms > 0.0 ? persize_ms / ms : 0.0,
+      std::printf(", {\"engine\": \"fused\", \"ms\": %.1f, "
+                  "\"speedup_vs_reference\": %.2f, \"identical\": %s}",
+                  ms, ms > 0.0 ? ref_ms / ms : 0.0,
                   identical ? "true" : "false");
     }
     std::printf("]}");
@@ -201,7 +199,6 @@ int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv, 1);
   const bool quick = bench::has_flag(argc, argv, "--quick");
   const auto store = bench::parse_trace_store(argc, argv);
-  const opt::ReplayKernel kernel = bench::parse_replay_kernel(argc, argv);
   const std::string profile_out = parse_profile_out(argc, argv);
 
   if (bench::has_flag(argc, argv, "--compare-kernels"))
@@ -228,7 +225,7 @@ int main(int argc, char** argv) {
   std::printf("{\"bench\": \"micro_replay\", \"scenarios\": [");
   for (std::size_t s = 0; s < names.size(); ++s) {
     const core::Experiment exp = core::scenarios().make_experiment(
-        names[s], jobs, std::nullopt, store, kernel);
+        names[s], jobs, std::nullopt, store);
     const auto& cfg = exp.config();
     const std::size_t runs = std::max(1u, cfg.profile_runs);
     const std::size_t full_runs = cfg.profile_grid.size() * runs;
@@ -241,8 +238,8 @@ int main(int argc, char** argv) {
     const bool identical = full.identical(replay);
     all_identical = all_identical && identical;
 
-    // The profile dump CI diffs across --replay-kernel values: replay
-    // output rendered deterministically, one block per scenario.
+    // The profile dump CI diffs against bench/micro_replay_profile.txt:
+    // replay output rendered deterministically, one block per scenario.
     if (dump != nullptr)
       std::fprintf(dump, "== %s ==\n%s", names[s].c_str(),
                    replay.to_string().c_str());
@@ -267,9 +264,9 @@ int main(int argc, char** argv) {
         full_runs, runs, full_ms, replay_ms,
         replay_ms > 0.0 ? full_ms / replay_ms : 0.0, err_mean, err_max);
   }
-  std::printf("], \"kernel\": \"%s\", \"max_mean_recon_err\": %.2f, "
+  std::printf("], \"max_mean_recon_err\": %.2f, "
               "\"identical\": %s, \"recon_within_bound\": %s}\n",
-              opt::to_string(kernel), kMaxMeanReconError,
+              kMaxMeanReconError,
               all_identical ? "true" : "false", recon_ok ? "true" : "false");
   if (dump != nullptr) std::fclose(dump);
   return all_identical && recon_ok ? 0 : 1;

@@ -53,9 +53,6 @@
 //        --store-l2 off|ro|rw      far-tier mode (default rw: write
 //                                  through; ro serves a frozen shared dir)
 //        --jobs N                  campaign workers per request
-//        --replay-kernel K         replay engine: auto (fused) or
-//                                  persize (bit-identical responses; the
-//                                  engine is echoed as "kernel")
 //        --service-budget-bytes N  store byte budget (0 = unlimited)
 //        --service-budget-entries N  store entry budget (0 = unlimited)
 //        --plan-cache off|mem|disk memoized plan cache (default disk:
@@ -192,13 +189,13 @@ std::string response_json(const svc::PlanResponse& resp) {
   // (bench/micro_plan_server proves coalesced == uncoalesced through it).
   out += format(
       "], \"plan_source\": \"%s\", \"sweep\": \"%s\", \"union_points\": %u, "
-      "\"plan_digest\": \"%s\", \"kernel\": \"%s\", "
+      "\"plan_digest\": \"%s\", "
       "\"ms\": {\"capture\": %.1f, \"profile\": %.1f, "
       "\"plan\": %.1f, \"plan_cache\": %.2f, \"total\": %.1f}}",
       svc::to_string(resp.plan_source), svc::to_string(resp.sweep),
       resp.union_points, svc::plan_response_digest(resp).c_str(),
-      resp.replay_kernel.c_str(), resp.capture_ms, resp.profile_ms,
-      resp.plan_ms, resp.plan_cache_ms, resp.total_ms);
+      resp.capture_ms, resp.profile_ms, resp.plan_ms, resp.plan_cache_ms,
+      resp.total_ms);
   return out;
 }
 
@@ -381,7 +378,6 @@ int main(int argc, char** argv) {
   svc::PlanningServiceConfig svc_cfg;
   svc_cfg.store = svc::open_service_store(backend, mode, capacity);
   svc_cfg.jobs = jobs;
-  svc_cfg.replay_kernel = core::parse_replay_kernel(argc, argv);
   svc_cfg.plan_cache =
       svc::open_plan_cache(cache_mode, backend, mode, cache_budget);
   svc_cfg.coalesce_window_ms = core::parse_coalesce_window_ms(argc, argv);

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "core/profiler_mode.hpp"
-#include "opt/replay_kernel_mode.hpp"
 
 namespace cms::core {
 
@@ -82,36 +81,6 @@ inline ProfilerMode parse_profiler(int argc, char** argv,
     }
     if (std::strncmp(argv[i], "--profiler=", 11) == 0)
       return parse_value(argv[i] + 11);
-  }
-  return def;
-}
-
-/// Parse `--replay-kernel K` / `--replay-kernel=K` where K is `auto`
-/// (the fused multi-size replay) or `persize` (legacy one-cache-per-size
-/// replay). Both are bit-identical in output — the flag trades
-/// wall-clock only. Returns `def` when absent; unknown values warn and
-/// keep `def`.
-inline opt::ReplayKernel parse_replay_kernel(
-    int argc, char** argv, opt::ReplayKernel def = opt::ReplayKernel::kAuto) {
-  const auto parse_value = [def](const char* v) -> opt::ReplayKernel {
-    if (std::strcmp(v, "auto") == 0) return opt::ReplayKernel::kAuto;
-    if (std::strcmp(v, "persize") == 0) return opt::ReplayKernel::kPerSize;
-    std::fprintf(stderr,
-                 "warning: ignoring bad --replay-kernel value '%s' "
-                 "(auto|persize)\n",
-                 v);
-    return def;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--replay-kernel") == 0) {
-      if (i + 1 < argc) return parse_value(argv[i + 1]);
-      std::fprintf(stderr,
-                   "warning: --replay-kernel needs a value "
-                   "(auto|persize)\n");
-      return def;
-    }
-    if (std::strncmp(argv[i], "--replay-kernel=", 16) == 0)
-      return parse_value(argv[i] + 16);
   }
   return def;
 }

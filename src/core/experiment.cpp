@@ -304,20 +304,6 @@ opt::CaptureRun Experiment::capture_single(std::uint32_t run,
   return assemble_capture(*rec, out);
 }
 
-std::vector<opt::ReplayJob> Experiment::replay_jobs(
-    const std::vector<opt::CaptureRun>& captures) const {
-  const std::vector<ProfileJob> sweep = profile_jobs();
-  std::vector<opt::ReplayJob> jobs;
-  jobs.reserve(sweep.size());
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const ProfileJob& pj = sweep[i];
-    assert(pj.run < captures.size());
-    jobs.push_back(opt::ReplayJob{&captures[pj.run], pj.job.plan, pj.sets,
-                                  static_cast<std::uint64_t>(i)});
-  }
-  return jobs;
-}
-
 std::vector<opt::MultiReplayJob> Experiment::multi_replay_jobs(
     const std::vector<opt::CaptureRun>& captures) const {
   const std::vector<ProfileJob> sweep = profile_jobs();
@@ -326,8 +312,8 @@ std::vector<opt::MultiReplayJob> Experiment::multi_replay_jobs(
       runs, captures.size()));
   for (std::size_t r = 0; r < jobs.size(); ++r)
     jobs[r].capture = &captures[r];
-  // Same canonical orders as replay_jobs (sweep index), so a fold of the
-  // fused fragments replays the exact serial accumulation sequence.
+  // Orders are sweep indices, so a fold of the fragments replays the
+  // exact serial accumulation sequence.
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const ProfileJob& pj = sweep[i];
     assert(pj.run < jobs.size());
@@ -346,36 +332,10 @@ opt::MissProfile Experiment::profile_replay(
   const mem::CacheConfig& l2 = cfg_.platform.hier.l2;
   const std::uint64_t l2_seed = cfg_.platform.hier.l2_seed();
 
-  if (cfg_.replay_kernel == opt::ReplayKernel::kPerSize) {
-    // Legacy sharding: one campaign item per (capture, size) — each item
-    // re-decodes every stream of its capture. Kept as the independent
-    // reference path for the fused replay.
-    std::vector<opt::ProfileFragment> fragments(sweep.size());
-    Campaign campaign(cfg_.jobs);
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const ProfileJob& pj = sweep[i];
-      const opt::CaptureRun* capture = &captures[pj.run];
-      campaign.add(
-          [&fragments, i, capture, plan = pj.job.plan, sets = pj.sets, &l2,
-           l2_seed, surcharge] {
-            fragments[i] = opt::replay_fragment(*capture, *plan, l2, l2_seed,
-                                                sets,
-                                                static_cast<std::uint64_t>(i),
-                                                surcharge);
-            RunOutput out;
-            out.verified = true;
-            return out;
-          },
-          pj.job.label + "/replay");
-    }
-    campaign.run_all();
-    return opt::fold_fragments(std::move(fragments));
-  }
-
-  // Fused kernel: each capture run decodes every stream ONCE for the whole
-  // grid, so the campaign shards by (capture, stream) instead of
-  // (capture, size) — replay_stream is thread-safe for distinct streams,
-  // and per-stream items balance a sweep whose stream sizes are skewed.
+  // Each capture run decodes every stream ONCE for the whole grid, so the
+  // campaign shards by (capture, stream) — replay_stream is thread-safe
+  // for distinct streams, and per-stream items balance a sweep whose
+  // stream sizes are skewed.
   // Assembly (fragments + fold by canonical order) stays serial, keeping
   // the output bit-identical at any worker count.
   const std::vector<opt::MultiReplayJob> jobs = multi_replay_jobs(captures);

@@ -77,10 +77,9 @@ struct ExperimentConfig {
   /// bit-identical for every value.
   unsigned jobs = 1;
 
-  /// Replay engine of kTraceReplay profiling (opt/replay_kernel_mode.hpp).
-  /// Both engines yield bit-identical profiles; kAuto runs the fused
-  /// multi-size replay, kPerSize keeps the legacy one-cache-per-size loop
-  /// (the reference the fused replay is verified against).
+  /// Read by nothing: kTraceReplay profiling always runs the fused
+  /// replay. benchmark/src/pipeline.cpp still sets and passes it, so it
+  /// stays until Benchmark v2 edits that file and deletes it.
   opt::ReplayKernel replay_kernel = opt::ReplayKernel::kAuto;
 };
 
@@ -154,17 +153,12 @@ class Experiment {
   /// digest, so a store can never serve a stale capture.
   std::string trace_digest(std::uint64_t jitter) const;
 
-  /// The replay half as declarative jobs in canonical sweep order; the
-  /// returned jobs point into `captures`, which must outlive them.
-  /// Feed to opt::replay_profile or fan out on a Campaign. This is the
-  /// PER-SIZE job list — the fused kernel's independent reference.
-  std::vector<opt::ReplayJob> replay_jobs(
-      const std::vector<opt::CaptureRun>& captures) const;
-
-  /// The same sweep as fused multi-size jobs: one MultiReplayJob per
-  /// capture run, carrying every grid point (orders match replay_jobs,
-  /// so the folds are bit-identical). Jobs point into `captures`, which
-  /// must outlive them. Feed to opt::replay_profile_multi.
+  /// The replay half as declarative jobs: one MultiReplayJob per capture
+  /// run, carrying every grid point with its canonical sweep order (its
+  /// index in profile_jobs()), so any fold of the fragments replays the
+  /// serial accumulation sequence. Jobs point into `captures`, which must
+  /// outlive them. Feed to opt::replay_profile_multi, or to
+  /// opt::replay_profile_reference to check it.
   std::vector<opt::MultiReplayJob> multi_replay_jobs(
       const std::vector<opt::CaptureRun>& captures) const;
 

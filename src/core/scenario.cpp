@@ -171,13 +171,11 @@ std::vector<ScenarioInfo> ScenarioRegistry::list() const {
 Experiment ScenarioRegistry::make_experiment(
     const std::string& name, std::optional<unsigned> jobs,
     std::optional<ProfilerMode> profiler,
-    std::shared_ptr<opt::TraceStore> store,
-    std::optional<opt::ReplayKernel> kernel) const {
+    std::shared_ptr<opt::TraceStore> store) const {
   ScenarioSpec spec = get(name);
   if (jobs) spec.experiment.jobs = *jobs;
   if (profiler) spec.experiment.profiler = *profiler;
   if (store) spec.experiment.trace_store = std::move(store);
-  if (kernel) spec.experiment.replay_kernel = *kernel;
   return Experiment(std::move(spec.factory), std::move(spec.experiment));
 }
 

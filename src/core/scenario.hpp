@@ -134,15 +134,13 @@ class ScenarioRegistry {
   /// overrides the spec's campaign worker count, `profiler` the spec's
   /// profiling mode (kFullSim vs kTraceReplay), a non-null `store`
   /// attaches a persistent trace store (captures are then looked up on
-  /// disk before simulating — see opt/trace_store.hpp), and `kernel` the
-  /// replay engine (--replay-kernel); omitted, the spec's own settings
-  /// stand. Built-in scenarios carry a trace_key, so the store works out
-  /// of the box.
+  /// disk before simulating — see opt/trace_store.hpp); omitted, the
+  /// spec's own settings stand. Built-in scenarios carry a trace_key, so
+  /// the store works out of the box.
   Experiment make_experiment(
       const std::string& name, std::optional<unsigned> jobs = std::nullopt,
       std::optional<ProfilerMode> profiler = std::nullopt,
-      std::shared_ptr<opt::TraceStore> store = nullptr,
-      std::optional<opt::ReplayKernel> kernel = std::nullopt) const;
+      std::shared_ptr<opt::TraceStore> store = nullptr) const;
 
  private:
   mutable std::mutex mu_;

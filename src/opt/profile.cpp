@@ -24,18 +24,6 @@ void MissProfile::set_point(const std::string& task, std::uint32_t sets,
   tasks_[task][sets] = std::move(point);
 }
 
-void MissProfile::merge(const MissProfile& other) {
-  for (const auto& [name, curve] : other.tasks_) {
-    auto& mine = tasks_[name];
-    for (const auto& [sets, point] : curve) {
-      ProfilePoint& p = mine[sets];
-      p.misses.merge(point.misses);
-      p.active_cycles.merge(point.active_cycles);
-      p.instructions.merge(point.instructions);
-    }
-  }
-}
-
 namespace {
 bool stats_identical(const RunningStats& a, const RunningStats& b) {
   return a.count() == b.count() && a.sum() == b.sum() && a.mean() == b.mean() &&

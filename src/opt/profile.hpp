@@ -60,12 +60,6 @@ class MissProfile {
   void set_point(const std::string& task, std::uint32_t sets,
                  ProfilePoint point);
 
-  /// Pool another profile into this one (Welford merge of each point).
-  /// Statistically exact; NOT guaranteed bit-identical to replaying the
-  /// raw samples — use `fold_fragments` when bit-reproducibility against
-  /// the serial path matters.
-  void merge(const MissProfile& other);
-
   /// True iff both profiles hold bitwise-identical statistics for every
   /// (task, size) point.
   bool identical(const MissProfile& other) const;

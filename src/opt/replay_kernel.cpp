@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -209,16 +208,16 @@ bool conflict_free(const LaneGeom& g, std::uint32_t ways,
 }
 
 /// The replacement state of one lane, against a per-line residency table
-/// instead of per-way tags: where[key] is the slot (set * ways + way)
-/// holding the key, or kNone; owner[slot] the key a slot holds; stamps
-/// the LRU/FIFO ticks; fill[set] the set's valid ways. It gives the
-/// outcomes of mem::SetAssocCache::access_at exactly, because
+/// instead of per-way tags: where[id] is the slot (set * ways + way)
+/// holding line id `id`, or kNone; owner[slot] the line id a slot holds;
+/// stamps the LRU/FIFO ticks; fill[set] the set's valid ways. It gives
+/// the outcomes of mem::SetAssocCache::access_at exactly, because
 ///  * replay never invalidates, so a set's first invalid way is its fill
 ///    count;
-///  * a key (a line, or a (set, tag) pair; see replay_stream) lives in
-///    exactly one set of the lane, so an access hits exactly when its key
-///    has a slot;
-///  * an eviction clears the evicted key's slot;
+///  * the capture is at the L2's line size, so a line's tag is the line
+///    itself and it lives in exactly one set of the lane: an access hits
+///    exactly when its line has a slot;
+///  * an eviction clears the evicted line's slot;
 ///  * LRU and FIFO victims are the first way with the minimal stamp
 ///    (strict <), kRandom victims the lane's next
 ///    SetAssocCache::random_victim_way draw;
@@ -234,9 +233,9 @@ struct LaneState {
   std::vector<std::uint32_t> stamps;
   std::vector<std::uint32_t> fill;
 
-  /// Replay `events` accesses, access e to key key[e] with miss
+  /// Replay `events` accesses, access e to line id key[e] with miss
   /// attribution info[e], into `misses` and demand[slot]. set_of[k] is
-  /// key k's set among `sets`.
+  /// line id k's set among `sets`.
   void replay(const std::uint32_t* key, const std::uint32_t* info,
               std::size_t events, const std::vector<std::uint32_t>& set_of,
               std::uint32_t sets, std::uint32_t ways,
@@ -302,6 +301,11 @@ MultiReplay::MultiReplay(const CaptureRun& capture,
       points_(std::move(points)),
       l2_(l2),
       l2_seed_(l2_seed) {
+  if (capture_->trace.line_bytes != l2_.line_bytes)
+    throw std::invalid_argument(
+        "capture recorded at " + std::to_string(capture_->trace.line_bytes) +
+        "-byte lines cannot replay on " + std::to_string(l2_.line_bytes) +
+        "-byte L2 lines");
   slot_ids_.reserve(capture_->tasks.size());
   for (const CaptureTaskStats& t : capture_->tasks) slot_ids_.push_back(t.id);
   if (slot_ids_.size() >= (kNone >> kSlotShift))
@@ -323,8 +327,8 @@ MultiReplay::MultiReplay(const CaptureRun& capture,
                               " events, too many to replay");
     client_sets_[s].reserve(npoints);
     // entry_for throws for a client missing from ANY point's plan — the
-    // same std::invalid_argument the first offending per-size job would
-    // have raised, just before any work instead of mid-sweep.
+    // same std::invalid_argument replay_fragment raises at that point,
+    // just before any work instead of mid-sweep.
     for (const ReplayGridPoint& p : points_) {
       assert(p.plan != nullptr);
       client_sets_[s].push_back(
@@ -351,38 +355,23 @@ void MultiReplay::replay_stream(std::size_t s) {
     geoms[p] = {FastMod::make(std::max(points_[p].plan->total_sets, 1u)),
                 FastMod::make(client_sets_[s][p])};
 
-  // A capture at another line size than the L2's tags by the rescaled
-  // line but indexes by the captured one. Its first touches then depend
-  // on the lane, so every lane replays.
-  const std::uint32_t trace_bytes = capture_->trace.line_bytes;
-  const bool same_lines = trace_bytes == l2_.line_bytes;
   std::vector<std::size_t> exact;  // grid points that replay
   std::vector<std::uint32_t> count, touched;
   for (std::size_t p = 0; p < npoints; ++p) {
-    if (same_lines) {
-      if (count.size() < client_sets_[s][p]) count.resize(client_sets_[s][p]);
-      if (conflict_free(geoms[p], l2_.ways, d, count, touched)) {
-        misses_[s][p] = d.misses;
-        for (std::size_t slot = 0; slot < nslots; ++slot)
-          demand_[s][slot * npoints + p] = d.demand[slot];
-        continue;
-      }
+    if (count.size() < client_sets_[s][p]) count.resize(client_sets_[s][p]);
+    if (conflict_free(geoms[p], l2_.ways, d, count, touched)) {
+      misses_[s][p] = d.misses;
+      for (std::size_t slot = 0; slot < nslots; ++slot)
+        demand_[s][slot * npoints + p] = d.demand[slot];
+      continue;
     }
     exact.push_back(p);
   }
   replayed_[s] = exact.size();
   if (exact.empty()) return;
 
-  // Tags are the captured line rescaled as SetAssocCache::line_of does.
-  // When the captured line is a whole number of L2 lines the tag is
-  // injective, so a line id serves as the lane's residency key. When it
-  // is smaller, several captured lines share one tag, possibly in
-  // different sets of a lane, so the key is the lane's (set, tag) pair.
-  const bool shared_tags =
-      trace_bytes == 0 || trace_bytes % l2_.line_bytes != 0;
   const std::vector<std::uint64_t>& lines = d.ids.lines();
-  const std::size_t events = d.line.size();
-  std::vector<std::uint32_t> set_of, lane_key;
+  std::vector<std::uint32_t> set_of(lines.size());
   std::vector<std::uint64_t> demand(nslots);
   LaneState lane;
   for (const std::size_t p : exact) {
@@ -390,28 +379,11 @@ void MultiReplay::replay_stream(std::size_t s) {
     if (std::uint64_t{sets} * l2_.ways >= kNone)
       throw std::length_error("replay lane of " + std::to_string(sets) +
                               " sets is too large");
-    set_of.resize(lines.size());
     for (std::size_t id = 0; id < lines.size(); ++id)
       set_of[id] = set_index(geoms[p], lines[id]);
-    const std::uint32_t* key = d.line.data();
-    if (shared_tags) {
-      std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint32_t> keys;
-      std::vector<std::uint32_t> key_of(lines.size()), key_set;
-      for (std::size_t id = 0; id < lines.size(); ++id) {
-        const std::uint64_t tag = lines[id] * trace_bytes / l2_.line_bytes;
-        const auto [it, added] = keys.try_emplace(
-            {set_of[id], tag}, static_cast<std::uint32_t>(keys.size()));
-        if (added) key_set.push_back(set_of[id]);
-        key_of[id] = it->second;
-      }
-      lane_key.resize(events);
-      for (std::size_t e = 0; e < events; ++e) lane_key[e] = key_of[d.line[e]];
-      set_of = std::move(key_set);
-      key = lane_key.data();
-    }
     std::fill(demand.begin(), demand.end(), 0);
-    lane.replay(key, d.info.data(), events, set_of, sets, l2_.ways,
-                l2_.replacement, l2_seed_, stream.client().key(),
+    lane.replay(d.line.data(), d.info.data(), d.line.size(), set_of, sets,
+                l2_.ways, l2_.replacement, l2_seed_, stream.client().key(),
                 misses_[s][p], demand.data());
     for (std::size_t slot = 0; slot < nslots; ++slot)
       demand_[s][slot * npoints + p] = demand[slot];

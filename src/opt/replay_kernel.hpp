@@ -1,13 +1,13 @@
-// Fused multi-size replay kernel (the decode-once replacement for the
-// per-size replay loop of opt/trace.hpp).
+// Fused multi-size replay kernel: the replay every profiling sweep runs.
 //
-// replay_profile pays the dominant cost of a sweep — decoding every
-// client's delta-encoded trace and walking a cache model — once PER GRID
-// SIZE: a 64-point grid decodes each stream 64 times. But the streams are
-// size-invariant (that is the whole premise of capture/replay), so the
-// kernel here decodes each stream ONCE, into one dense id per distinct
-// line and per event its line id, task slot and miss flags, and answers
-// every grid point ("lane") from that decode.
+// The reference sweep (replay_profile_reference in opt/trace.hpp) pays the
+// dominant cost of a sweep — decoding every client's delta-encoded trace
+// and walking a cache model — once PER GRID SIZE: a 64-point grid decodes
+// each stream 64 times. But the streams are size-invariant (that is the
+// whole premise of capture/replay), so the kernel here decodes each
+// stream ONCE, into one dense id per distinct line and per event its line
+// id, task slot and miss flags, and answers every grid point ("lane")
+// from that decode.
 //
 // Most lanes never evict: a stream touches few distinct lines compared
 // with the sets most grid points give it. So the decode also collects
@@ -22,44 +22,31 @@
 // a search of the set's tags.
 //
 // Bit-identity contract: the fragments fold to a profile that is
-// MissProfile::identical to the per-size path's, because the lane replay
-// reproduces mem::SetAssocCache outcome semantics exactly (the argument
-// is at LaneState in replay_kernel.cpp) and only outcome state is
-// modeled — per SetAssocCache::kOutcomeStateIsTagsStampsCounters, dirty
-// bits and the cold-miss table cannot change a hit/miss.
-// tests/test_replay_kernel.cpp pins this for every scenario, cache
-// policy, line-size ratio and worker count.
+// MissProfile::identical to replay_profile_reference's, because the lane
+// replay reproduces mem::SetAssocCache outcome semantics exactly (the
+// argument is at LaneState in replay_kernel.cpp) and only outcome state
+// is modeled — per SetAssocCache::kOutcomeStateIsTagsStampsCounters,
+// dirty bits and the cold-miss table cannot change a hit/miss.
+// tests/test_replay_kernel.cpp pins this for the built-in scenarios, a
+// differential fuzz over random captures under every cache policy, and
+// several worker counts.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
 #include "mem/cache_config.hpp"
 #include "opt/planner.hpp"
 #include "opt/profile.hpp"
-#include "opt/replay_kernel_mode.hpp"
 #include "opt/trace.hpp"
 
 namespace cms::opt {
 
-/// One grid point of a fused replay: the uniform isolation plan of that
-/// point, its grid label and its fragment's canonical schedule position
-/// (same meaning as ReplayJob::sets / ::order).
-struct ReplayGridPoint {
-  std::shared_ptr<const PartitionPlan> plan;
-  std::uint32_t sets = 0;
-  std::uint64_t order = 0;
-};
-
-/// One fused work unit: a capture plus EVERY grid point it is profiled
-/// at. Replaces |points| ReplayJobs.
-struct MultiReplayJob {
-  const CaptureRun* capture = nullptr;
-  std::vector<ReplayGridPoint> points;
-};
+/// Read by nothing: benchmark/src/pipeline.cpp still names it, so it
+/// stays until Benchmark v2 edits that file and deletes it.
+enum class ReplayKernel : std::uint8_t { kAuto };
 
 /// Decode-once multi-size replay of one capture. Usage:
 ///
@@ -80,9 +67,13 @@ class MultiReplay {
  public:
   /// Validates up front that every stream's client has an entry in every
   /// point's plan; throws std::invalid_argument (same message as
-  /// replay_fragment) otherwise. Line ids, event ordinals and task slots
-  /// are 32-bit in the replay state, so a stream of 2^32 - 1 events or
-  /// more, or a capture of 2^30 tasks or more, throws std::length_error.
+  /// replay_fragment) otherwise. A capture replays only at the line size
+  /// it was recorded at (captures are recorded at the L2's, and
+  /// Experiment::trace_digest hashes it), so a capture whose line size
+  /// differs from `l2`'s throws std::invalid_argument too. Line ids,
+  /// event ordinals and task slots are 32-bit in the replay state, so a
+  /// stream of 2^32 - 1 events or more, or a capture of 2^30 tasks or
+  /// more, throws std::length_error.
   MultiReplay(const CaptureRun& capture, std::vector<ReplayGridPoint> points,
               const mem::CacheConfig& l2, std::uint64_t l2_seed);
 
@@ -105,7 +96,7 @@ class MultiReplay {
   /// first-touch counts. Read it after the replay_stream calls.
   std::size_t lanes_replayed() const;
 
-  /// One fragment per grid point, bit-identical to the per-size path.
+  /// One fragment per grid point, bit-identical to replay_fragment's.
   /// Call only after every stream has been replayed.
   std::vector<ProfileFragment> fragments(Cycle surcharge) const;
 
@@ -133,13 +124,13 @@ class MultiReplay {
 };
 
 /// Serial driver over fused jobs: replay every stream of every job, fold
-/// all fragments. Bit-identical to replay_profile over the equivalent
-/// per-size job list (same orders → same fold sequence). `kernel` is
-/// unused: every value runs the fused replay. It stays only for callers
-/// that still pass it.
+/// all fragments. Bit-identical to replay_profile_reference over the same
+/// jobs (same orders, so the same fold sequence). The ReplayKernel
+/// parameter is read by nothing: benchmark/src/pipeline.cpp still passes
+/// it, so it stays until Benchmark v2 edits that file and deletes it.
 MissProfile replay_profile_multi(const std::vector<MultiReplayJob>& jobs,
                                  const mem::CacheConfig& l2,
                                  std::uint64_t l2_seed, Cycle surcharge,
-                                 ReplayKernel kernel);
+                                 ReplayKernel = ReplayKernel::kAuto);
 
 }  // namespace cms::opt

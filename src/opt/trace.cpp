@@ -157,7 +157,12 @@ CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
   CaptureRun capture;
   const std::string stored_digest = rd.str();
   if (digest != nullptr) *digest = stored_digest;
-  capture.trace.line_bytes = static_cast<std::uint32_t>(rd.varint());
+  // encode_capture writes a recorder's nonzero 32-bit line size; any
+  // other value would be truncated or divide by zero in a replay.
+  const std::uint64_t line_bytes = rd.varint();
+  if (line_bytes == 0 || line_bytes > 0xFFFFFFFFull)
+    rd.fail("bad line size " + std::to_string(line_bytes));
+  capture.trace.line_bytes = static_cast<std::uint32_t>(line_bytes);
   // Every count below is checked against the bytes left (each element
   // encodes to at least one byte) before anything is reserved by it.
   const std::uint64_t num_sched = rd.count("scheduler-client");
@@ -306,15 +311,17 @@ ProfileFragment replay_fragment(const CaptureRun& capture,
   return frag;
 }
 
-MissProfile replay_profile(const std::vector<ReplayJob>& jobs,
-                           const mem::CacheConfig& l2, std::uint64_t l2_seed,
-                           Cycle surcharge) {
+MissProfile replay_profile_reference(const std::vector<MultiReplayJob>& jobs,
+                                     const mem::CacheConfig& l2,
+                                     std::uint64_t l2_seed, Cycle surcharge) {
   std::vector<ProfileFragment> fragments;
-  fragments.reserve(jobs.size());
-  for (const ReplayJob& job : jobs) {
-    assert(job.capture != nullptr && job.plan != nullptr);
-    fragments.push_back(replay_fragment(*job.capture, *job.plan, l2, l2_seed,
-                                        job.sets, job.order, surcharge));
+  for (const MultiReplayJob& job : jobs) {
+    assert(job.capture != nullptr);
+    for (const ReplayGridPoint& p : job.points) {
+      assert(p.plan != nullptr);
+      fragments.push_back(replay_fragment(*job.capture, *p.plan, l2, l2_seed,
+                                          p.sets, p.order, surcharge));
+    }
   }
   return fold_fragments(std::move(fragments));
 }

@@ -251,19 +251,27 @@ ProfileFragment replay_fragment(const CaptureRun& capture,
                                 std::uint64_t l2_seed, std::uint32_t sets,
                                 std::uint64_t order, Cycle surcharge);
 
-/// One replay work item of a sweep (core::Experiment fans these out on a
-/// core::Campaign; replay_profile below is the serial driver).
-struct ReplayJob {
-  const CaptureRun* capture = nullptr;
+/// One grid point of a replay sweep: the uniform isolation plan of that
+/// point, its grid label and its fragment's canonical schedule position
+/// (replay_fragment's `sets` and `order`).
+struct ReplayGridPoint {
   std::shared_ptr<const PartitionPlan> plan;
   std::uint32_t sets = 0;
   std::uint64_t order = 0;
 };
 
-/// Replay every job in canonical order and fold the fragments — the
-/// profile a serial full-simulation sweep would have produced.
-MissProfile replay_profile(const std::vector<ReplayJob>& jobs,
-                           const mem::CacheConfig& l2, std::uint64_t l2_seed,
-                           Cycle surcharge);
+/// One replay work item of a sweep: a capture plus every grid point it is
+/// profiled at (core::Experiment::multi_replay_jobs builds the list).
+struct MultiReplayJob {
+  const CaptureRun* capture = nullptr;
+  std::vector<ReplayGridPoint> points;
+};
+
+/// The reference sweep: replay_fragment at every point of every job, then
+/// one fold. The fused replay (opt/replay_kernel.hpp) must reproduce it
+/// bit for bit; tests and bench/micro_replay compare the two.
+MissProfile replay_profile_reference(const std::vector<MultiReplayJob>& jobs,
+                                     const mem::CacheConfig& l2,
+                                     std::uint64_t l2_seed, Cycle surcharge);
 
 }  // namespace cms::opt

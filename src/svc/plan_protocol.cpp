@@ -68,18 +68,18 @@ bool parse_plan_request(const std::string& operands, PlanRequest& req,
     std::uint32_t n = 0;
     if (key == "grid") {
       if (!once(seen_grid)) return false;
-      std::istringstream gs(val);
-      std::string item;
-      while (std::getline(gs, item, ',')) {
+      // Every comma-separated field must be a size, the empty ones before
+      // a trailing comma or after an empty `grid=` included.
+      for (std::size_t start = 0;;) {
+        const std::size_t comma = val.find(',', start);
+        const std::string item = val.substr(start, comma - start);
         if (!parse_u32(item, n)) {
           error = bad_value("grid", item, "plain decimal expected");
           return false;
         }
         req.grid.push_back(n);
-      }
-      if (req.grid.empty()) {
-        error = bad_value("grid", val, "plain decimal expected");
-        return false;
+        if (comma == std::string::npos) break;
+        start = comma + 1;
       }
     } else if (key == "runs") {
       if (!once(seen_runs)) return false;

@@ -87,7 +87,6 @@ opt::MissProfile slice_profile(const opt::MissProfile& full,
 struct PlanningService::SweepOutcome {
   opt::MissProfile profile;         // the union-grid profile
   std::vector<std::uint32_t> grid;  // union grid actually replayed (sorted)
-  std::string replay_kernel;        // resolved kernel name
   double capture_ms = 0.0;          // leader's capture phase
   double profile_ms = 0.0;          // leader's replay phase
 };
@@ -247,7 +246,6 @@ core::Experiment PlanningService::build_experiment(
   cfg.trace_store = store_;
   cfg.profiler = core::ProfilerMode::kTraceReplay;
   cfg.jobs = cfg_.jobs;
-  cfg.replay_kernel = cfg_.replay_kernel;
   return core::Experiment(std::move(factory), std::move(cfg));
 }
 
@@ -432,8 +430,6 @@ void PlanningService::run_request(const core::Experiment& exp,
           p.name, p.sets, p.misses, p.cycles});
     resp.plan_source = PlanSource::kCache;
     resp.sweep = SweepRole::kCache;
-    // No replay executed — the cached bits are kernel-independent.
-    resp.replay_kernel = "cache";
     plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
     resp.ok = true;
     return;
@@ -501,7 +497,6 @@ void PlanningService::run_request(const core::Experiment& exp,
       prov.source = CaptureSource::kCoalesced;
     resp.sweep = SweepRole::kCoalesced;
     resp.union_points = static_cast<std::uint32_t>(out->grid.size());
-    resp.replay_kernel = out->replay_kernel;
     prof = slice_profile(out->profile, my_sorted);
   } else {
     // Pin every digest this request will replay BEFORE ensuring
@@ -578,7 +573,6 @@ void PlanningService::run_request(const core::Experiment& exp,
       // any deferred captures — see ensure_capture). Replay the UNION
       // grid once; the fused multi-size kernel makes the extra columns
       // nearly free.
-      resp.replay_kernel = opt::to_string(exp.config().replay_kernel);
       sweeps_started_.fetch_add(1, std::memory_order_relaxed);
       if (cfg_.sweep_started) cfg_.sweep_started(scenario, union_grid);
       const auto tp = Clock::now();
@@ -603,7 +597,6 @@ void PlanningService::run_request(const core::Experiment& exp,
 
       if (sweep != nullptr) {
         out->grid = std::move(union_grid);
-        out->replay_kernel = resp.replay_kernel;
         out->capture_ms = resp.capture_ms;
         out->profile_ms = resp.profile_ms;
         // Retire the sweep BEFORE publishing: once the table entry is

@@ -228,14 +228,6 @@ struct PlanResponse {
   /// 0 on plan-cache hits and errors.
   std::uint32_t union_points = 0;
 
-  /// Replay engine that produced the profile ("auto" for the fused
-  /// replay, or "persize"), or "cache" when the response came from the
-  /// plan cache and no replay ran at all. Provenance only: the engines
-  /// are bit-identical by contract, so cached entries are
-  /// kernel-independent (bench/micro_plan_service asserts a cache hit
-  /// matches a response computed under a DIFFERENT kernel bit-for-bit).
-  std::string replay_kernel;
-
   /// Pin + store-probe + ensure-capture phase (see kDeferred for the ro
   /// shift). Digest computation precedes every phase timer and shows up
   /// only in total_ms.
@@ -273,10 +265,6 @@ struct PlanningServiceConfig {
   /// memo; with a disk tier, point it at the store's directory
   /// (open_plan_cache below wires the CLI flags).
   std::shared_ptr<opt::PlanCache> plan_cache;
-  /// Replay engine for the profiling sweeps (--replay-kernel). Any value
-  /// yields bit-identical responses; the flag trades wall-clock only, and
-  /// the engine is echoed in PlanResponse::replay_kernel.
-  opt::ReplayKernel replay_kernel = opt::ReplayKernel::kAuto;
   /// Sweep-coalescing merge window: a sweep leader holds its sweep OPEN
   /// for AT MOST this long after it was registered, so every request of
   /// a short concurrent burst folds its grid into one union sweep. The
@@ -367,7 +355,7 @@ class PlanningService {
 
   core::Experiment make_experiment(const PlanRequest& req) const;
   /// Apply the request's validated overrides to `cfg`, force the
-  /// service's store / replay profiler / jobs / kernel, and build the
+  /// service's store / replay profiler / jobs, and build the
   /// Experiment (shared by the whole-scenario and per-phase paths).
   core::Experiment build_experiment(const PlanRequest& req,
                                     core::AppFactory factory,

@@ -185,7 +185,6 @@ TEST(Experiment, InventoryEntryPointsBuildTheAppOnce) {
       [](const Experiment& e) { e.tasks(); },
       [](const Experiment& e) { e.buffers(); },
       [](const Experiment& e) { e.profile_jobs(); },
-      [&](const Experiment& e) { e.replay_jobs(captures); },
       [&](const Experiment& e) { e.multi_replay_jobs(captures); },
       [&](const Experiment& e) { e.plan(prof); },
   };

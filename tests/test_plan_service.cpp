@@ -24,10 +24,13 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/scenario.hpp"
 #include "svc/plan_protocol.hpp"
 #include "svc/planning_service.hpp"
@@ -870,6 +873,10 @@ TEST(PlanProtocol, RejectsMalformedValues) {
   EXPECT_NE(fails("").find("scenario"), std::string::npos);
   EXPECT_NE(fails("s grid=1,x,2").find("grid"), std::string::npos);
   EXPECT_NE(fails("s grid=").find("grid"), std::string::npos);
+  for (const char* empty_field :
+       {"s grid=4,", "s grid=4,8,", "s grid=4,,8", "s grid=,4"})
+    EXPECT_EQ(fails(empty_field), "bad grid value '' (plain decimal expected)")
+        << empty_field;
   EXPECT_NE(fails("s runs=+2").find("runs"), std::string::npos);
   EXPECT_NE(fails("s l2=64k").find("l2"), std::string::npos);
   EXPECT_NE(fails("s bogus=1").find("unknown option"), std::string::npos);
@@ -913,6 +920,63 @@ TEST(PlanProtocol, RejectsRepeatedOptions) {
   PlanRequest req;
   std::string err;
   EXPECT_TRUE(parse_plan_request("s grid=1,2 runs=2", req, err)) << err;
+}
+
+// A remote peer writes the whole request line. Truncations, byte
+// mutations and token shuffles of valid lines must each parse, fail with
+// a message, or throw std::runtime_error: nothing else.
+TEST(PlanProtocolFuzz, MutatedRequestLinesParseOrFail) {
+  const std::vector<std::string> valid = {
+      "mpeg2-tiny grid=1,2,4,8 runs=2 l2=32768 eps=0.01 deadline_ms=250",
+      "stream-tiny phases=all deadline_ms=5",
+      "jpeg-canny-dense grid=4,12 eps=0",
+  };
+  const std::string alphabet = " =,.-0123456789eginrs";
+  Rng rng(0x9A55EEDull);  // deterministic: any failure reproduces
+  std::size_t parsed = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string line = valid[rng.below(valid.size())];
+    switch (rng.below(3)) {
+      case 0:
+        line.resize(rng.below(line.size()));
+        break;
+      case 1:
+        for (std::uint64_t f = 1 + rng.below(4); f > 0; --f)
+          line[rng.below(line.size())] =
+              rng.chance(0.7) ? alphabet[rng.below(alphabet.size())]
+                              : static_cast<char>(rng.below(256));
+        break;
+      default: {
+        std::vector<std::string> tokens;
+        std::istringstream in(line);
+        for (std::string t; in >> t;) tokens.push_back(t);
+        if (rng.chance(0.3))
+          tokens.push_back(tokens[rng.below(tokens.size())]);
+        if (rng.chance(0.3))
+          tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(
+                                            rng.below(tokens.size())));
+        for (std::size_t t = tokens.size(); t > 1; --t)
+          std::swap(tokens[t - 1], tokens[rng.below(t)]);
+        line.clear();
+        for (const std::string& t : tokens)
+          line += (line.empty() ? "" : " ") + t;
+        break;
+      }
+    }
+    PlanRequest req;
+    std::string err;
+    try {
+      if (parse_plan_request(line, req, err))
+        ++parsed;
+      else
+        EXPECT_FALSE(err.empty()) << "round " << i << ": '" << line << "'";
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "round " << i << ": '" << line
+                    << "' threw a non-runtime_error: " << e.what();
+    }
+  }
+  EXPECT_GT(parsed, 0u);
 }
 
 TEST(PlanProtocol, ParsesPhasedRequests) {

@@ -1,19 +1,25 @@
 // Tests for the fused multi-size replay kernel (opt/replay_kernel.hpp):
-// bit-identity of the fused replay against the per-size reference
-// replay, over the built-in scenarios (LRU, counter-based kRandom, the
-// dense 64-point grid) and at several campaign worker counts; synthetic
+// bit-identity of the fused replay against the reference sweep
+// (opt::replay_profile_reference, one replay_fragment per grid point),
+// over the built-in scenarios (LRU, counter-based kRandom, the dense
+// 64-point grid) and at several campaign worker counts; synthetic
 // captures pin the FIFO and write-through-no-allocate cache paths, the
-// non-power-of-2 set counts the Lemire fast-mod handles, trace-to-L2
-// line-size rescales in both directions, and the split between lanes
-// that replay and lanes that take their stream's first-touch counts.
+// non-power-of-2 set counts the Lemire fast-mod handles, the refusal of
+// captures at another line size, and the split between lanes that replay
+// and lanes that take their stream's first-touch counts; and a
+// differential fuzz replays a thousand random captures under every cache
+// policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/scenario.hpp"
 #include "opt/replay_kernel.hpp"
 #include "opt/trace.hpp"
@@ -21,21 +27,20 @@
 namespace cms::opt {
 namespace {
 
-// ---- built-in scenarios: fused engines vs the per-size reference ----
+// ---- built-in scenarios: the fused replay vs the reference sweep ----
 
-MissProfile persize_reference(const core::Experiment& exp,
+MissProfile reference_profile(const core::Experiment& exp,
                               const std::vector<CaptureRun>& captures) {
   const auto& hier = exp.config().platform.hier;
-  return replay_profile(exp.replay_jobs(captures), hier.l2, hier.l2_seed(),
-                        miss_surcharge(hier));
+  return replay_profile_reference(exp.multi_replay_jobs(captures), hier.l2,
+                                  hier.l2_seed(), miss_surcharge(hier));
 }
 
 MissProfile fused_profile(const core::Experiment& exp,
                           const std::vector<CaptureRun>& captures) {
   const auto& hier = exp.config().platform.hier;
   return replay_profile_multi(exp.multi_replay_jobs(captures), hier.l2,
-                              hier.l2_seed(), miss_surcharge(hier),
-                              ReplayKernel::kAuto);
+                              hier.l2_seed(), miss_surcharge(hier));
 }
 
 class ReplayKernelScenario : public ::testing::TestWithParam<const char*> {};
@@ -44,7 +49,7 @@ TEST_P(ReplayKernelScenario, FusedMatchesPerSizeReference) {
   const core::Experiment exp = core::scenarios().make_experiment(
       GetParam(), 1, core::ProfilerMode::kTraceReplay);
   const std::vector<CaptureRun> captures = exp.capture_runs();
-  EXPECT_TRUE(persize_reference(exp, captures)
+  EXPECT_TRUE(reference_profile(exp, captures)
                   .identical(fused_profile(exp, captures)));
 }
 
@@ -60,22 +65,18 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The Experiment-level path: profile() routed through the fused replay
-// must be worker-count invariant (the campaign shards per stream, the
-// fold is serial) and match the per-size engine at every count.
-TEST(ReplayKernelExperiment, WorkerCountAndKernelInvariant) {
+// The Experiment-level path: profile() shards the fused replay per
+// stream on the campaign and folds serially, so it must match the
+// reference sweep at every worker count.
+TEST(ReplayKernelExperiment, WorkerCountInvariant) {
   for (const char* name : {"mpeg2-tiny-rand", "jpeg-canny-dense"}) {
-    const MissProfile ref =
-        core::scenarios()
-            .make_experiment(name, 1, core::ProfilerMode::kTraceReplay,
-                             nullptr, ReplayKernel::kPerSize)
-            .profile();
+    const core::Experiment serial = core::scenarios().make_experiment(
+        name, 1, core::ProfilerMode::kTraceReplay);
+    const MissProfile ref = reference_profile(serial, serial.capture_runs());
     for (const unsigned jobs : {1u, 2u, 8u}) {
       const core::Experiment exp = core::scenarios().make_experiment(
-          name, jobs, core::ProfilerMode::kTraceReplay, nullptr,
-          ReplayKernel::kAuto);
-      EXPECT_TRUE(ref.identical(exp.profile()))
-          << name << " auto jobs=" << jobs;
+          name, jobs, core::ProfilerMode::kTraceReplay);
+      EXPECT_TRUE(ref.identical(exp.profile())) << name << " jobs=" << jobs;
     }
   }
 }
@@ -147,13 +148,18 @@ std::shared_ptr<const PartitionPlan> synth_plan(const CaptureRun& c,
 // degenerate d=1 geometry.
 const std::vector<std::uint32_t> kSynthSizes = {1, 2, 3, 5, 8};
 
+std::vector<ReplayGridPoint> synth_points(
+    const CaptureRun& c, const std::vector<std::uint32_t>& sizes) {
+  std::vector<ReplayGridPoint> points;
+  for (std::size_t i = 0; i < sizes.size(); ++i)
+    points.push_back({synth_plan(c, sizes[i]), sizes[i], i});
+  return points;
+}
+
 MissProfile synth_reference(const CaptureRun& c, const mem::CacheConfig& l2,
                             const std::vector<std::uint32_t>& sizes) {
-  std::vector<ProfileFragment> frags;
-  for (std::size_t i = 0; i < sizes.size(); ++i)
-    frags.push_back(replay_fragment(c, *synth_plan(c, sizes[i]), l2, kSeed,
-                                    sizes[i], i, kSurcharge));
-  return fold_fragments(std::move(frags));
+  return replay_profile_reference({{&c, synth_points(c, sizes)}}, l2, kSeed,
+                                  kSurcharge);
 }
 
 struct FusedRun {
@@ -164,10 +170,7 @@ struct FusedRun {
 
 FusedRun synth_fused(const CaptureRun& c, const mem::CacheConfig& l2,
                      const std::vector<std::uint32_t>& sizes) {
-  std::vector<ReplayGridPoint> points;
-  for (std::size_t i = 0; i < sizes.size(); ++i)
-    points.push_back({synth_plan(c, sizes[i]), sizes[i], i});
-  MultiReplay mr(c, std::move(points), l2, kSeed);
+  MultiReplay mr(c, synth_points(c, sizes), l2, kSeed);
   for (std::size_t s = 0; s < mr.num_streams(); ++s) mr.replay_stream(s);
   return {fold_fragments(mr.fragments(kSurcharge)), mr.lanes(),
           mr.lanes_replayed()};
@@ -180,8 +183,7 @@ std::size_t expect_synth_identity(
     const std::vector<std::uint32_t>& sizes = kSynthSizes) {
   const FusedRun run = synth_fused(c, l2, sizes);
   EXPECT_TRUE(synth_reference(c, l2, sizes).identical(run.profile))
-      << "l2 " << l2.to_string() << " capture lines "
-      << c.trace.line_bytes << " B";
+      << "l2 " << l2.to_string();
   EXPECT_EQ(run.lanes, c.trace.streams.size() * sizes.size());
   return run.lanes_replayed;
 }
@@ -238,15 +240,16 @@ TEST(ReplayKernelSynthetic, RandomReplacementWithNoAllocate) {
   expect_synth_identity(synth_capture(), l2);
 }
 
-// Captures recorded at a different line size than the replay L2 rescale
-// line indices on both engines identically. 128-byte captured lines are
-// two L2 lines each, so every captured line keeps its own tag; 32-byte
-// lines share one tag in pairs, which a lane may hold in two sets at
-// once.
-TEST(ReplayKernelSynthetic, LineBytesRescale) {
-  for (const std::uint32_t line_bytes : {128u, 32u})
-    for (const mem::CacheConfig& l2 : every_policy())
-      expect_synth_identity(synth_capture(line_bytes), l2);
+// Captures are recorded at the L2's line size, and the trace digest
+// hashes it, so the fused replay refuses a capture at any other.
+TEST(ReplayKernelSynthetic, OtherLineSizeThrows) {
+  for (const std::uint32_t line_bytes : {128u, 32u}) {
+    const CaptureRun c = synth_capture(line_bytes);
+    EXPECT_THROW(MultiReplay(c, synth_points(c, kSynthSizes),
+                             mem::CacheConfig(), kSeed),
+                 std::invalid_argument)
+        << line_bytes << " B captured lines";
+  }
 }
 
 // Every lane above spans hundreds of lines in at most 8 sets x 4 ways,
@@ -290,9 +293,8 @@ std::vector<std::uint64_t> line_range(std::uint64_t n) {
 ///  * buffer 7 reads lines 0, 64, 128, 192 and only writes 256, all in
 ///    set 0 at every size: 5 lines evict everywhere under
 ///    write-allocate, while under no-allocate 4 resident lines never do.
-CaptureRun span_capture(std::uint32_t line_bytes = 64) {
+CaptureRun span_capture() {
   CaptureRun c;
-  c.trace.line_bytes = line_bytes;
   c.trace.streams.push_back(
       span_stream(mem::ClientId::task(0), 11, line_range(12), 12, {0}));
   c.trace.streams.push_back(
@@ -305,7 +307,6 @@ CaptureRun span_capture(std::uint32_t line_bytes = 64) {
 }
 
 const std::vector<std::uint32_t> kSpanSizes = {1, 2, 3, 4, 5, 8};
-constexpr std::size_t kSpanLanes = 3 * 6;
 constexpr std::size_t kSpanEvictingAllocate = 2 + 3 + 6;
 constexpr std::size_t kSpanEvictingNoAllocate = 2 + 3 + 0;
 
@@ -326,18 +327,6 @@ TEST(ReplayKernelFirstTouch, EvictingLanesReplayTheRestTakeFirstTouches) {
               kSpanEvictingNoAllocate)
         << no_allocate.to_string() << " no-allocate";
   }
-}
-
-// A capture at another line size than the L2's indexes lanes by the
-// captured line but tags by the L2's, so its first touches differ per
-// lane: every lane replays.
-TEST(ReplayKernelFirstTouch, RescaledCaptureReplaysEveryLane) {
-  for (const std::uint32_t line_bytes : {128u, 32u})
-    for (const mem::CacheConfig& l2 : every_policy())
-      EXPECT_EQ(expect_synth_identity(span_capture(line_bytes), l2,
-                                      kSpanSizes),
-                kSpanLanes)
-          << line_bytes << " B captured lines, " << l2.to_string();
 }
 
 TEST(ReplayKernelSynthetic, UnplannedClientThrows) {
@@ -365,9 +354,187 @@ TEST(ReplayKernelSynthetic, TruncatedStreamThrows) {
   EXPECT_THROW(mr.replay_stream(0), std::runtime_error);
 }
 
-TEST(ReplayKernelNames, KernelNames) {
-  EXPECT_STREQ(to_string(ReplayKernel::kAuto), "auto");
-  EXPECT_STREQ(to_string(ReplayKernel::kPerSize), "persize");
+// ---- differential fuzz: the fused replay against the reference ----
+//
+// Random small captures, each replayed under every replacement and write
+// policy with its streams in a shuffled order, must fold to the reference
+// sweep's profile bit for bit. A capture has task streams, shared buffers
+// whose issuers interleave (among them 3 and 67, which share a bucket of
+// the decode's task-slot cache, and 99, which is not in the task table),
+// and a scheduler buffer whose misses count for no task. Lines come off a
+// recency stack with a per-stream reuse depth, so some streams mostly hit
+// and others thrash.
+
+/// A stream over `pool`: each access takes the pool's next unused line
+/// (a first touch) or re-touches one of the `depth` most recent lines.
+/// Writes, reads and L1-writeback drains (writes) mix at a per-stream
+/// rate; the issuer changes now and then among `issuers`.
+ClientTrace fuzz_stream(Rng& rng, mem::ClientId client,
+                        const std::vector<std::uint64_t>& pool,
+                        const std::vector<TaskId>& issuers) {
+  ClientTrace t(client);
+  const std::uint64_t events = 20 + rng.below(200);
+  const double fresh = 0.05 + 0.45 * rng.next_double();
+  const std::uint64_t depth = std::uint64_t{1} << rng.below(7);
+  const double writes = 0.5 * rng.next_double();
+  std::vector<std::uint64_t> recent;  // most recent last
+  std::size_t next = 0, issuer = 0;
+  for (std::uint64_t e = 0; e < events; ++e) {
+    std::uint64_t line = 0;
+    if (next < pool.size() && (recent.empty() || rng.chance(fresh))) {
+      line = pool[next++];
+    } else {
+      const auto it = recent.end() - 1 -
+                      static_cast<std::ptrdiff_t>(rng.below(
+                          std::min<std::uint64_t>(depth, recent.size())));
+      line = *it;
+      recent.erase(it);
+    }
+    recent.push_back(line);
+    if (rng.chance(0.3)) issuer = rng.below(issuers.size());
+    const bool writeback = rng.chance(0.1);
+    const bool write = writeback || rng.chance(writes);
+    t.append(line, write ? AccessType::kWrite : AccessType::kRead, writeback,
+             issuers[issuer]);
+  }
+  return t;
+}
+
+/// 2 to 41 distinct lines in random order, contiguous or strided, now and
+/// then straddling 2^32 (set_index's wide path).
+std::vector<std::uint64_t> fuzz_pool(Rng& rng) {
+  const std::uint64_t base = rng.chance(0.1)
+                                 ? (std::uint64_t{1} << 32) - rng.below(32)
+                                 : rng.below(1 << 16);
+  const std::uint64_t stride = rng.chance(0.5) ? 1 : 1 + rng.below(8);
+  std::vector<std::uint64_t> pool(2 + rng.below(40));
+  for (std::size_t i = 0; i < pool.size(); ++i) pool[i] = base + i * stride;
+  for (std::size_t i = pool.size() - 1; i > 0; --i)
+    std::swap(pool[i], pool[rng.below(i + 1)]);
+  return pool;
+}
+
+CaptureRun fuzz_capture(Rng& rng) {
+  CaptureRun c;
+  // 130 % 64 == 2; 130 has no stream of its own and issues through the
+  // buffers only.
+  std::vector<TaskId> table = {0, 3};
+  for (const TaskId id : {1, 67, 130})
+    if (rng.chance(0.5)) table.push_back(id);
+  for (const TaskId id : table) {
+    c.tasks.push_back({id, "t" + std::to_string(id), 100 + rng.below(1000),
+                       rng.below(5000), rng.below(5000)});
+    if (id != 130)
+      c.trace.streams.push_back(
+          fuzz_stream(rng, mem::ClientId::task(id), fuzz_pool(rng), {id}));
+  }
+  const std::uint64_t buffers = 1 + rng.below(2);
+  for (std::uint64_t b = 0; b < buffers; ++b)
+    c.trace.streams.push_back(fuzz_stream(
+        rng, mem::ClientId::buffer(static_cast<BufferId>(b)), fuzz_pool(rng),
+        {3, 67, 99, table[rng.below(table.size())]}));
+  const mem::ClientId sched = mem::ClientId::buffer(50);
+  c.trace.streams.push_back(
+      fuzz_stream(rng, sched, fuzz_pool(rng), {0, 3, kInvalidTask}));
+  c.scheduler_clients.push_back(sched);
+  std::sort(c.trace.streams.begin(), c.trace.streams.end(),
+            [](const ClientTrace& a, const ClientTrace& b) {
+              return a.client() < b.client();
+            });
+  return c;
+}
+
+/// Lines that ever become resident in `stream`: every line under
+/// write-allocate, under no-allocate only the lines it reads.
+std::vector<std::uint64_t> resident_lines(const ClientTrace& stream,
+                                          bool write_allocate) {
+  std::set<std::uint64_t> lines;
+  auto rd = stream.reader();
+  TraceEvent ev;
+  while (rd.next(ev))
+    if (write_allocate || ev.type == AccessType::kRead)
+      lines.insert(ev.line_index);
+  return {lines.begin(), lines.end()};
+}
+
+/// Most of `lines` any one set of a lane holds.
+std::uint32_t fullest_set(const std::vector<std::uint64_t>& lines,
+                          std::uint32_t total, std::uint32_t sets) {
+  std::vector<std::uint32_t> count(sets, 0);
+  std::uint32_t most = 0;
+  for (const std::uint64_t line : lines)
+    most = std::max(most, ++count[(line % total) % sets]);
+  return most;
+}
+
+constexpr const char* kReplacementNames[] = {"LRU", "FIFO", "random"};
+
+TEST(ReplayKernelFuzz, FusedMatchesReferenceOnRandomCaptures) {
+  Rng rng(0xF0552EEDull);  // deterministic: any failure reproduces
+  std::size_t lanes = 0, replayed = 0, at_ways = 0, past_ways = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t seed = rng.next_u64();
+    Rng gen(seed);
+    const CaptureRun c = fuzz_capture(gen);
+    const std::uint32_t ways = 1 + static_cast<std::uint32_t>(gen.below(4));
+    // 1 set, two random sizes (mostly not powers of 2), and the sizes at
+    // which the first stream's lines fill its fullest set to about
+    // `ways` and `ways + 1`: the edge between lanes that take first-touch
+    // counts and lanes that replay. at_ways and past_ways below count the
+    // lanes that land exactly on it.
+    const auto first = static_cast<std::uint32_t>(
+        resident_lines(c.trace.streams[0], true).size());
+    const std::vector<std::uint32_t> sizes = {
+        1, (first + ways - 1) / ways, (first + ways) / (ways + 1),
+        2 + static_cast<std::uint32_t>(gen.below(23)),
+        2 + static_cast<std::uint32_t>(gen.below(23))};
+    std::vector<ReplayGridPoint> points;
+    for (std::size_t p = 0; p < sizes.size(); ++p) {
+      auto plan = std::make_shared<PartitionPlan>(*synth_plan(c, sizes[p]));
+      plan->total_sets =
+          plan->used_sets + static_cast<std::uint32_t>(gen.below(sizes[p]));
+      points.push_back({std::move(plan), sizes[p], p});
+    }
+    std::vector<std::vector<std::uint64_t>> resident[2];
+    for (const ClientTrace& stream : c.trace.streams)
+      for (const bool allocate : {false, true})
+        resident[allocate].push_back(resident_lines(stream, allocate));
+
+    for (mem::CacheConfig l2 : every_policy()) {
+      l2.ways = ways;
+      l2.size_bytes = 64 * l2.line_bytes * ways;
+      const std::uint64_t l2_seed = gen.next_u64();
+      const bool allocate =
+          l2.write_policy == mem::WritePolicy::kWriteBackAllocate;
+      MultiReplay mr(c, points, l2, l2_seed);
+      std::vector<std::size_t> order(mr.num_streams());
+      for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
+      for (std::size_t s = order.size() - 1; s > 0; --s)
+        std::swap(order[s], order[gen.below(s + 1)]);
+      for (const std::size_t s : order) mr.replay_stream(s);
+      const MissProfile fused = fold_fragments(mr.fragments(kSurcharge));
+      const MissProfile ref = replay_profile_reference(
+          {{&c, points}}, l2, l2_seed, kSurcharge);
+      ASSERT_TRUE(ref.identical(fused))
+          << "iteration " << i << ", " << ways << " ways, "
+          << kReplacementNames[static_cast<int>(l2.replacement)] << ", "
+          << (allocate ? "write-allocate" : "no-allocate") << ", seed 0x"
+          << std::hex << seed;
+      lanes += mr.lanes();
+      replayed += mr.lanes_replayed();
+      for (const ReplayGridPoint& p : points)
+        for (const std::vector<std::uint64_t>& lines : resident[allocate]) {
+          const std::uint32_t most =
+              fullest_set(lines, p.plan->total_sets, p.sets);
+          at_ways += most == ways;
+          past_ways += most == ways + 1;
+        }
+    }
+  }
+  EXPECT_GT(replayed, 0u);
+  EXPECT_LT(replayed, lanes);
+  EXPECT_GT(at_ways, 0u);
+  EXPECT_GT(past_ways, 0u);
 }
 
 }  // namespace

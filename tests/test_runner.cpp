@@ -134,17 +134,6 @@ TEST(ProfileFragments, FoldIsCompletionOrderIndependent) {
   EXPECT_EQ(pa.curve("t").at(4).misses.count(), 3u);
 }
 
-TEST(ProfileFragments, MergePoolsSamples) {
-  opt::MissProfile a, b;
-  a.add_sample("t", 4, 10.0, 1.0, 1.0);
-  b.add_sample("t", 4, 20.0, 3.0, 1.0);
-  b.add_sample("u", 8, 5.0, 1.0, 1.0);
-  a.merge(b);
-  EXPECT_EQ(a.curve("t").at(4).misses.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.misses("t", 4), 15.0);
-  EXPECT_DOUBLE_EQ(a.misses("u", 8), 5.0);
-}
-
 TEST(Experiment, ProfileJobsDescribeCanonicalSweep) {
   const ExperimentConfig cfg = tiny_experiment(1);
   Experiment exp(tiny_m2v(), cfg);

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "net/frame_server.hpp"
 #include "opt/blob_protocol.hpp"
 #include "opt/net_backend.hpp"
@@ -659,6 +660,169 @@ TEST(BlobProtocol, DigestsThatCouldLeaveTheExportAreRefused) {
         handle_blob_request(exported, encode_blob_request(req)));
     EXPECT_EQ(resp.status, BlobStatus::kOk) << static_cast<int>(op);
   }
+}
+
+// ---- Blob protocol fuzz: hostile payloads decode or throw ----
+//
+// A peer controls every byte of a request (blob_server) and of a response
+// (NetBackend). Decoding any payload must either succeed or throw
+// std::runtime_error: no other exception, and nothing the sanitizers
+// flag.
+
+template <typename Decode>
+void expect_decodes_or_throws(const Decode& decode, const std::string& payload,
+                              const std::string& what) {
+  try {
+    decode(payload);
+  } catch (const std::runtime_error&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << " threw a non-runtime_error: " << e.what();
+  }
+}
+
+std::string payload_of(const serialize::ByteWriter& w) {
+  return std::string(w.bytes().begin(), w.bytes().end());
+}
+
+std::vector<std::string> valid_requests() {
+  std::vector<std::string> out;
+  for (const BlobOp op : {BlobOp::kPing, BlobOp::kGet, BlobOp::kPut,
+                          BlobOp::kStat, BlobOp::kRemove, BlobOp::kList}) {
+    BlobRequest req;
+    req.op = op;
+    req.kind = BlobKind::kPlan;
+    req.digest = "0123456789abcdef0123456789abcdef";
+    if (op == BlobOp::kPut) req.bytes = blob_of("a stored capture or plan");
+    out.push_back(encode_blob_request(req));
+  }
+  return out;
+}
+
+std::vector<std::string> valid_responses() {
+  std::vector<std::string> out;
+  BlobResponse resp;
+  resp.op = BlobOp::kPing;
+  resp.server = "dir:/export";
+  out.push_back(encode_blob_response(resp));
+  resp.op = BlobOp::kGet;
+  resp.bytes = blob_of("a stored capture or plan");
+  out.push_back(encode_blob_response(resp));
+  resp.op = BlobOp::kStat;
+  resp.size = 4096;
+  out.push_back(encode_blob_response(resp));
+  resp.op = BlobOp::kRemove;
+  resp.remove_outcome = StoreBackend::RemoveOutcome::kRemoved;
+  out.push_back(encode_blob_response(resp));
+  resp.op = BlobOp::kList;
+  resp.rows = {{"aa", 10}, {"bb", 20}, {"cc", 30}};
+  out.push_back(encode_blob_response(resp));
+  resp.op = BlobOp::kGet;
+  resp.status = BlobStatus::kMiss;
+  out.push_back(encode_blob_response(resp));
+  out.push_back(blob_error_response("disk on fire"));
+  return out;
+}
+
+/// Truncations and byte mutations of every valid payload.
+void fuzz_payloads(const std::vector<std::string>& valid, std::uint64_t seed,
+                   const std::function<void(const std::string&)>& decode) {
+  Rng rng(seed);  // deterministic: any failure reproduces
+  for (int i = 0; i < 2000; ++i) {
+    std::string bytes = valid[rng.below(valid.size())];
+    if (rng.chance(0.5)) {
+      bytes.resize(rng.below(bytes.size()));
+    } else {
+      const std::uint64_t flips = 1 + rng.below(4);
+      for (std::uint64_t f = 0; f < flips; ++f)
+        bytes[rng.below(bytes.size())] ^=
+            static_cast<char>(1 + rng.below(255));
+    }
+    expect_decodes_or_throws(decode, bytes, "round " + std::to_string(i));
+  }
+}
+
+/// A put request or a get response whose payload length, payload bytes
+/// and trailing bytes are drawn at random, with the FNV-1a checksum
+/// recomputed over the bytes the length claims where they are present,
+/// so the input gets past the checksum to the length and end checks.
+std::string crafted_checked_bytes(Rng& rng, bool request) {
+  serialize::ByteWriter w;
+  w.fixed32(request ? kBlobRequestMagic : kBlobResponseMagic);
+  w.fixed32(kBlobProtocolVersion);
+  if (request) {
+    w.u8(static_cast<std::uint8_t>(BlobOp::kPut));
+    w.u8(static_cast<std::uint8_t>(rng.below(kBlobKinds + 1)));
+    w.str("d" + std::to_string(rng.below(1000)));
+  } else {
+    w.u8(static_cast<std::uint8_t>(BlobOp::kGet));
+    w.u8(static_cast<std::uint8_t>(BlobStatus::kOk));
+  }
+  StoreBackend::Blob bytes(rng.below(48));
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u32());
+  const std::uint64_t claims[] = {bytes.size(), bytes.size() + rng.below(16),
+                                  rng.below(bytes.size() + 1),
+                                  std::uint64_t{1} << 40,
+                                  std::uint64_t{1} << 62};
+  const std::uint64_t claim = claims[rng.below(5)];
+  const std::size_t present =
+      static_cast<std::size_t>(std::min<std::uint64_t>(claim, bytes.size()));
+  w.varint(claim);
+  w.raw(bytes.data(), present);
+  w.fixed64(serialize::fnv1a64(bytes.data(), present));
+  const std::uint64_t trailing = rng.chance(0.7) ? 0 : 1 + rng.below(8);
+  for (std::uint64_t t = 0; t < trailing; ++t)
+    w.u8(static_cast<std::uint8_t>(rng.next_u32()));
+  return payload_of(w);
+}
+
+/// A list response whose row count is drawn at random against the rows
+/// that follow it.
+std::string crafted_list(Rng& rng) {
+  serialize::ByteWriter w;
+  w.fixed32(kBlobResponseMagic);
+  w.fixed32(kBlobProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(BlobOp::kList));
+  w.u8(static_cast<std::uint8_t>(BlobStatus::kOk));
+  const std::uint64_t rows = rng.below(6);
+  const std::uint64_t claims[] = {rows, rows + 1 + rng.below(64),
+                                  std::uint64_t{1} << 40};
+  w.varint(claims[rng.below(3)]);
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    w.str("row" + std::to_string(i));
+    w.fixed64(rng.next_u64());
+  }
+  return payload_of(w);
+}
+
+TEST(BlobProtocolFuzz, MutatedRequestsDecodeOrThrow) {
+  fuzz_payloads(valid_requests(), 0xB10B5EEDull,
+                [](const std::string& p) { decode_blob_request(p); });
+}
+
+TEST(BlobProtocolFuzz, MutatedResponsesDecodeOrThrow) {
+  fuzz_payloads(valid_responses(), 0xB10B7E5Dull,
+                [](const std::string& p) { decode_blob_response(p); });
+}
+
+TEST(BlobProtocolFuzz, CraftedLengthsAndCountsDecodeOrThrow) {
+  Rng rng(0xC4AF7EDull);
+  std::size_t decoded = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string what = "crafted " + std::to_string(i);
+    const std::string put = crafted_checked_bytes(rng, true);
+    expect_decodes_or_throws(
+        [&](const std::string& p) { decode_blob_request(p); ++decoded; },
+        put, what);
+    const std::string get = crafted_checked_bytes(rng, false);
+    expect_decodes_or_throws(
+        [&](const std::string& p) { decode_blob_response(p); ++decoded; },
+        get, what);
+    expect_decodes_or_throws(
+        [&](const std::string& p) { decode_blob_response(p); ++decoded; },
+        crafted_list(rng), what);
+  }
+  // Some crafted inputs are well formed; they must decode, not only throw.
+  EXPECT_GT(decoded, 0u);
 }
 
 // ---- NetBackend: endpoint parsing and fault injection ----

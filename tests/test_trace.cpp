@@ -153,11 +153,10 @@ TEST(ReplayProfile, SerialDriverMatchesExperimentOrchestration) {
   const std::vector<CaptureRun> captures = exp.capture_runs();
   ASSERT_EQ(captures.size(), 1u);  // tiny scenarios use one jitter run
   EXPECT_GT(captures.front().trace.total_events(), 0u);
-  const MissProfile serial =
-      replay_profile(exp.replay_jobs(captures),
-                     exp.config().platform.hier.l2,
-                     exp.config().platform.hier.l2_seed(),
-                     miss_surcharge(exp.config().platform.hier));
+  const MissProfile serial = replay_profile_reference(
+      exp.multi_replay_jobs(captures), exp.config().platform.hier.l2,
+      exp.config().platform.hier.l2_seed(),
+      miss_surcharge(exp.config().platform.hier));
   EXPECT_TRUE(serial.identical(
       exp.profile_with(core::ProfilerMode::kTraceReplay)));
 }

@@ -653,15 +653,17 @@ TEST_P(TraceStoreAnyBackend, CorruptEntryThrowsInsteadOfServing) {
 
 /// A capture file whose counts `fill` writes by hand after the header,
 /// digest and line size, sealed with a recomputed trailer. FNV-1a is
-/// easy to recompute, so a checksum-valid file can still claim any count.
+/// easy to recompute, so a checksum-valid file can still claim any count
+/// or line size.
 std::vector<std::uint8_t> crafted_capture(
     const std::string& digest,
-    const std::function<void(serialize::ByteWriter&)>& fill) {
+    const std::function<void(serialize::ByteWriter&)>& fill,
+    std::uint64_t line_bytes = 64) {
   serialize::ByteWriter w;
   for (const char c : kTraceMagic) w.u8(static_cast<std::uint8_t>(c));
   w.fixed32(kTraceFormatVersion);
   w.str(digest);
-  w.varint(64);  // line_bytes
+  w.varint(line_bytes);
   fill(w);
   w.fixed64(serialize::fnv1a64(w.bytes().data(), w.size()));
   return w.take();
@@ -709,6 +711,25 @@ TEST_P(TraceStoreAnyBackend, CountsBeyondThePayloadThrow) {
   for (std::size_t i = 0; i < bad.size(); ++i) {
     const std::string digest = "crafted-" + std::to_string(i);
     const std::vector<std::uint8_t> bytes = crafted_capture(digest, bad[i]);
+    EXPECT_THROW(decode_capture(bytes.data(), bytes.size(), digest),
+                 std::runtime_error)
+        << digest;
+    backend()->put(BlobKind::kTrace, digest, bytes);
+    EXPECT_THROW(store.load(digest), std::runtime_error) << digest;
+  }
+}
+
+// encode_capture writes a recorder's nonzero 32-bit line size. A line
+// size of 0, or one that a 32-bit field would truncate to 64, is
+// corruption too.
+TEST_P(TraceStoreAnyBackend, LineSizesTheEncoderCannotWriteThrow) {
+  const TraceStore store(backend());
+  for (const std::uint64_t line_bytes :
+       {std::uint64_t{0}, (std::uint64_t{1} << 32) + 64}) {
+    const std::string digest = "line-" + std::to_string(line_bytes);
+    const std::vector<std::uint8_t> bytes = crafted_capture(
+        digest, [](serialize::ByteWriter& w) { one_stream(w, 16, 16); },
+        line_bytes);
     EXPECT_THROW(decode_capture(bytes.data(), bytes.size(), digest),
                  std::runtime_error)
         << digest;
