@@ -68,50 +68,6 @@ constexpr unsigned kSlotShift = 2;
 /// all stay below it (MultiReplay checks the stream and lane sizes).
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
-/// Insert-only map from line index to a dense id in insertion order:
-/// open addressing, linear probing, Fibonacci hashing, at most half full.
-/// Keys are stored as line + 1 (0 = empty slot).
-class LineIds {
- public:
-  /// The id of `line`, the next unused one when `line` is new.
-  std::uint32_t insert(std::uint64_t line) {
-    const std::size_t i = probe(line + 1);
-    if (keys_[i] != 0) return ids_[i];
-    const auto id = static_cast<std::uint32_t>(lines_.size());
-    keys_[i] = line + 1;
-    ids_[i] = id;
-    lines_.push_back(line);
-    if (2 * lines_.size() > keys_.size()) grow();
-    return id;
-  }
-  /// Line index of each id.
-  const std::vector<std::uint64_t>& lines() const { return lines_; }
-
- private:
-  /// Slot holding `key`, else the empty slot it belongs in.
-  std::size_t probe(std::uint64_t key) const {
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t i = (key * 0x9E3779B97F4A7C15ull) >> shift_;
-    while (keys_[i] != 0 && keys_[i] != key) i = (i + 1) & mask;
-    return i;
-  }
-  void grow() {
-    keys_.assign(keys_.size() * 2, 0);
-    ids_.assign(keys_.size(), 0);
-    --shift_;
-    for (std::uint32_t id = 0; id < lines_.size(); ++id) {
-      const std::size_t i = probe(lines_[id] + 1);
-      keys_[i] = lines_[id] + 1;
-      ids_[i] = id;
-    }
-  }
-
-  std::vector<std::uint64_t> keys_ = std::vector<std::uint64_t>(64, 0);
-  std::vector<std::uint32_t> ids_ = std::vector<std::uint32_t>(64, 0);
-  unsigned shift_ = 64 - 6;  // log2(keys_.size()) high hash bits
-  std::vector<std::uint64_t> lines_;
-};
-
 /// One decode of a stream: every event as a dense line id plus what a
 /// miss of it counts, and the stream's first-touch outcome, its outcome
 /// when nothing is ever evicted. An access misses until its line is first
@@ -119,7 +75,6 @@ class LineIds {
 /// line's first access, under write-through-no-allocate every access up
 /// to and including the line's first read.
 struct DecodedStream {
-  LineIds ids;
   std::vector<std::uint32_t> line;  // [event] line id
   std::vector<std::uint32_t> info;  // [event] slot << kSlotShift | flags
   std::uint64_t misses = 0;
@@ -146,7 +101,9 @@ DecodedStream decode(const ClientTrace& stream,
   d.line.resize(events);
   d.info.resize(events);
   d.demand.assign(slot_ids.size() + 1, 0);
-  std::vector<std::uint8_t> allocated;  // [id]
+  // Indexed by id, not grown with it: nothing requires ids to first
+  // appear in order.
+  std::vector<std::uint8_t> allocated(stream.lines().size(), 0);  // [id]
   // The issuer changes every few events in a shared buffer's stream, so
   // a direct-mapped cache of task slots saves most scans.
   std::array<std::pair<TaskId, std::uint32_t>, 64> slot_cache;
@@ -156,8 +113,7 @@ DecodedStream decode(const ClientTrace& stream,
   auto rd = stream.reader();
   TraceEvent ev;
   for (std::size_t e = 0; rd.next(ev); ++e) {
-    const std::uint32_t id = d.ids.insert(ev.line_index);
-    if (id == allocated.size()) allocated.push_back(0);
+    const std::uint32_t id = ev.line_id;
     if (ev.task != cur_task) {
       cur_task = ev.task;
       auto& cached = slot_cache[static_cast<std::uint32_t>(cur_task) % 64];
@@ -182,21 +138,24 @@ DecodedStream decode(const ClientTrace& stream,
 }
 
 /// Whether no set of lane `g` ever receives more than `ways` of the
-/// resident lines. Then every allocation finds an invalid way, no victim
-/// is ever chosen under any replacement policy, and the lane's counters
-/// are exactly the first-touch ones. `count` holds one zeroed counter per
+/// resident lines (`lines` maps their ids to line indices). Then every
+/// allocation finds an invalid way, no victim is ever chosen under any
+/// replacement policy, and the lane's counters are exactly the
+/// first-touch ones. `count` holds one zeroed counter per
 /// set (at least the lane's set count) and is left zeroed: only the
 /// counters this lane touched are cleared, so the cost is independent of
 /// the lane's set count.
 bool conflict_free(const LaneGeom& g, std::uint32_t ways,
-                   const DecodedStream& d, std::vector<std::uint32_t>& count,
+                   const DecodedStream& d,
+                   const std::vector<std::uint64_t>& lines,
+                   std::vector<std::uint32_t>& count,
                    std::vector<std::uint32_t>& touched) {
   if (d.resident.size() <= ways) return true;
   if (d.resident.size() > std::uint64_t{g.client_sets.d} * ways) return false;
   bool free = true;
   touched.clear();
   for (const std::uint32_t id : d.resident) {
-    const std::uint32_t set = set_index(g, d.ids.lines()[id]);
+    const std::uint32_t set = set_index(g, lines[id]);
     if (count[set] == 0) touched.push_back(set);
     if (++count[set] > ways) {
       free = false;
@@ -359,10 +318,12 @@ void MultiReplay::replay_stream(std::size_t s) {
   std::vector<std::uint32_t> count, touched;
   for (std::size_t p = 0; p < npoints; ++p) {
     if (count.size() < client_sets_[s][p]) count.resize(client_sets_[s][p]);
-    if (conflict_free(geoms[p], l2_.ways, d, count, touched)) {
-      misses_[s][p] = d.misses;
+    if (conflict_free(geoms[p], l2_.ways, d, stream.lines(), count,
+                      touched)) {
+      misses_[s][p] = static_cast<std::uint32_t>(d.misses);
       for (std::size_t slot = 0; slot < nslots; ++slot)
-        demand_[s][slot * npoints + p] = d.demand[slot];
+        demand_[s][slot * npoints + p] =
+            static_cast<std::uint32_t>(d.demand[slot]);
       continue;
     }
     exact.push_back(p);
@@ -370,7 +331,7 @@ void MultiReplay::replay_stream(std::size_t s) {
   replayed_[s] = exact.size();
   if (exact.empty()) return;
 
-  const std::vector<std::uint64_t>& lines = d.ids.lines();
+  const std::vector<std::uint64_t>& lines = stream.lines();
   std::vector<std::uint32_t> set_of(lines.size());
   std::vector<std::uint64_t> demand(nslots);
   LaneState lane;
@@ -381,12 +342,14 @@ void MultiReplay::replay_stream(std::size_t s) {
                               " sets is too large");
     for (std::size_t id = 0; id < lines.size(); ++id)
       set_of[id] = set_index(geoms[p], lines[id]);
+    std::uint64_t misses = 0;
     std::fill(demand.begin(), demand.end(), 0);
     lane.replay(d.line.data(), d.info.data(), d.line.size(), set_of, sets,
                 l2_.ways, l2_.replacement, l2_seed_, stream.client().key(),
-                misses_[s][p], demand.data());
+                misses, demand.data());
+    misses_[s][p] = static_cast<std::uint32_t>(misses);
     for (std::size_t slot = 0; slot < nslots; ++slot)
-      demand_[s][slot * npoints + p] = demand[slot];
+      demand_[s][slot * npoints + p] = static_cast<std::uint32_t>(demand[slot]);
   }
 }
 

@@ -1,13 +1,14 @@
 // Fused multi-size replay kernel: the replay every profiling sweep runs.
 //
 // The reference sweep (replay_profile_reference in opt/trace.hpp) pays the
-// dominant cost of a sweep — decoding every client's delta-encoded trace
+// dominant cost of a sweep — decoding every client's encoded trace
 // and walking a cache model — once PER GRID SIZE: a 64-point grid decodes
 // each stream 64 times. But the streams are size-invariant (that is the
 // whole premise of capture/replay), so the kernel here decodes each
-// stream ONCE, into one dense id per distinct line and per event its line
-// id, task slot and miss flags, and answers every grid point ("lane")
-// from that decode.
+// stream ONCE, into each event's line id (the capture stores a stream's
+// distinct lines once and its events by dense id, so no hash is needed),
+// task slot and miss flags, and answers every grid point ("lane") from
+// that decode.
 //
 // Most lanes never evict: a stream touches few distinct lines compared
 // with the sets most grid points give it. So the decode also collects
@@ -82,13 +83,14 @@ class MultiReplay {
   std::size_t lanes() const { return num_streams() * points_.size(); }
 
   /// Count stream `s`'s misses at every grid point. One decode yields
-  /// the stream's line ids and its first-touch outcome (nothing ever
-  /// evicted); lanes where no set receives more than `ways` of the
+  /// each event's line id and the stream's first-touch outcome (nothing
+  /// ever evicted); lanes where no set receives more than `ways` of the
   /// stream's resident lines take it as is, and only the rest replay
   /// event by event over the decoded ids, one lane at a time. The decode
   /// and the lane state are local (freed on return); only the stream's
   /// counter rows persist. Throws std::runtime_error on a corrupt stream
-  /// encoding, and std::length_error for a replayed lane of 2^32 - 1
+  /// encoding (among them a line id beyond the stream's dictionary), and
+  /// std::length_error for a replayed lane of 2^32 - 1
   /// slots (sets × ways) or more.
   void replay_stream(std::size_t s);
 
@@ -111,13 +113,14 @@ class MultiReplay {
   /// client_sets_[s][p]: stream s's exclusive sets at point p (the plan
   /// lookup hoisted out of the hot pass).
   std::vector<std::vector<std::uint32_t>> client_sets_;
-  /// misses_[s][p]: stream s's total misses at point p.
-  std::vector<std::vector<std::uint64_t>> misses_;
+  /// misses_[s][p]: stream s's total misses at point p. The counter rows
+  /// are 32-bit: no count exceeds its stream's events, fewer than 2^32 - 1.
+  std::vector<std::vector<std::uint32_t>> misses_;
   /// demand_[s][slot * npoints + p]: demand misses attributed to task
   /// slot `slot` by stream s's events at point p. Kept PER STREAM so
   /// concurrent replay_stream calls never share a cache line of output;
   /// fragments() sums across streams (integer addition — order-free).
-  std::vector<std::vector<std::uint64_t>> demand_;
+  std::vector<std::vector<std::uint32_t>> demand_;
   /// replayed_[s]: stream s's lanes that replay_stream replayed exactly;
   /// per stream for the same reason as the counter rows.
   std::vector<std::size_t> replayed_;

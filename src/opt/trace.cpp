@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -11,14 +12,27 @@
 
 namespace cms::opt {
 
+void DenseIds::grow(const std::vector<std::uint64_t>& keys) {
+  slots_.assign(slots_.size() * 2, kEmpty);
+  --shift_;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::uint32_t id = 0; id < keys.size(); ++id) {
+    std::size_t i = (keys[id] * 0x9E3779B97F4A7C15ull) >> shift_;
+    while (slots_[i] != kEmpty) i = (i + 1) & mask;
+    slots_[i] = id;
+  }
+}
+
 void ClientTrace::append(std::uint64_t line_index, AccessType type,
                          bool l1_writeback, TaskId task) {
-  const std::int64_t delta = static_cast<std::int64_t>(line_index) - last_line_;
-  last_line_ = static_cast<std::int64_t>(line_index);
+  if (sealed_)
+    throw std::logic_error("append to the sealed trace stream of " +
+                           client_.to_string());
+  const std::uint32_t id = ids_.insert(line_index, lines_).first;
   const bool task_changed = task != last_task_;
   last_task_ = task;
 
-  std::uint64_t head = serialize::zigzag(delta) << 3;
+  std::uint64_t head = std::uint64_t{id} << 3;
   if (task_changed) head |= kTaskChangedBit;
   if (l1_writeback) head |= kWritebackBit;
   if (type == AccessType::kWrite) head |= kWriteBit;
@@ -31,11 +45,33 @@ void ClientTrace::append(std::uint64_t line_index, AccessType type,
 
 ClientTrace ClientTrace::from_encoded(mem::ClientId client,
                                       std::uint64_t events,
+                                      std::vector<std::uint64_t> lines,
                                       std::vector<std::uint8_t> buf) {
   ClientTrace t(client);
+  t.sealed_ = true;
   t.events_ = events;
+  t.lines_ = std::move(lines);
   t.buf_ = std::move(buf);
   return t;
+}
+
+ClientTrace::Reader::Varint ClientTrace::Reader::long_varint(
+    const std::uint8_t* p, const std::uint8_t* end) {
+  serialize::ByteReader rd(p, static_cast<std::size_t>(end - p),
+                           "trace stream");
+  const std::uint64_t value = rd.varint();
+  return {value, p + rd.pos()};
+}
+
+void ClientTrace::Reader::bad_id(std::uint64_t id, std::uint64_t lines) {
+  throw std::runtime_error("trace stream: line id " + std::to_string(id) +
+                           " beyond the stream's " + std::to_string(lines) +
+                           " lines");
+}
+
+void ClientTrace::Reader::bad_issuer(std::uint64_t issuer) {
+  throw std::runtime_error("trace stream: issuer " + std::to_string(issuer) +
+                           " beyond 32 bits");
 }
 
 const ClientTrace* AccessTrace::find(mem::ClientId client) const {
@@ -58,10 +94,10 @@ std::size_t AccessTrace::encoded_bytes() const {
 }
 
 void TraceRecorder::on_l2_access(const mem::L2AccessEvent& ev) {
-  const auto [it, inserted] = index_.try_emplace(ev.client, streams_.size());
-  if (inserted) streams_.emplace_back(ev.client);
-  streams_[it->second].append(ev.line / line_bytes_, ev.type,
-                              ev.l1_writeback, ev.task);
+  const auto [s, fresh] = index_.insert(ev.client.key(), keys_);
+  if (fresh) streams_.emplace_back(ev.client);
+  streams_[s].append(ev.line / line_bytes_, ev.type, ev.l1_writeback,
+                     ev.task);
 }
 
 AccessTrace TraceRecorder::take() {
@@ -69,7 +105,9 @@ AccessTrace TraceRecorder::take() {
   out.line_bytes = line_bytes_;
   out.streams = std::move(streams_);
   streams_.clear();
-  index_.clear();
+  keys_.clear();
+  index_ = DenseIds();
+  for (ClientTrace& s : out.streams) s.seal();
   std::sort(out.streams.begin(), out.streams.end(),
             [](const ClientTrace& a, const ClientTrace& b) {
               return a.client() < b.client();
@@ -91,10 +129,23 @@ void put_client(serialize::ByteWriter& w, mem::ClientId c) {
   w.svarint(c.id);
 }
 
+/// A signed varint that must fit 32 bits, as every id the encoder writes.
+std::int32_t get_int32(serialize::ByteReader& rd, const char* what) {
+  const std::int64_t v = rd.svarint();
+  if (v < std::numeric_limits<std::int32_t>::min() ||
+      v > std::numeric_limits<std::int32_t>::max())
+    rd.fail(std::string(what) + " " + std::to_string(v) +
+            " does not fit 32 bits");
+  return static_cast<std::int32_t>(v);
+}
+
 mem::ClientId get_client(serialize::ByteReader& rd) {
+  const std::uint8_t kind = rd.u8();
+  if (kind > static_cast<std::uint8_t>(mem::ClientKind::kBuffer))
+    rd.fail("bad client kind " + std::to_string(kind));
   mem::ClientId c;
-  c.kind = static_cast<mem::ClientKind>(rd.u8());
-  c.id = static_cast<std::int32_t>(rd.svarint());
+  c.kind = static_cast<mem::ClientKind>(kind);
+  c.id = get_int32(rd, "client id");
   return c;
 }
 
@@ -122,10 +173,16 @@ std::vector<std::uint8_t> encode_capture(const CaptureRun& capture,
   for (const ClientTrace& s : capture.trace.streams) {
     put_client(w, s.client());
     w.varint(s.events());
+    w.varint(s.lines().size());
+    std::uint64_t prev = 0;
+    for (const std::uint64_t line : s.lines()) {
+      w.svarint(static_cast<std::int64_t>(line - prev));
+      prev = line;
+    }
     w.varint(s.encoded().size());
     w.raw(s.encoded().data(), s.encoded().size());
   }
-  w.fixed64(serialize::fnv1a64(w.bytes().data(), w.size()));
+  w.fixed64(serialize::fnv1a64_words(w.bytes().data(), w.size()));
   return w.take();
 }
 
@@ -142,16 +199,18 @@ CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
   serialize::ByteReader rd(data, size - kTrailer, context);
   rd.raw(sizeof(kTraceMagic));
   const std::uint32_t version = rd.fixed32();
-  // Version before checksum: a future format may checksum differently but
+  // Version before checksum: another format may checksum differently but
   // must still be reported as a version problem, not corruption.
-  if (version > kTraceFormatVersion)
+  if (version != kTraceFormatVersion)
     throw std::runtime_error(
         context + ": trace schema version " + std::to_string(version) +
-        " is newer than this build supports (" +
+        (version > kTraceFormatVersion
+             ? " is newer than this build supports ("
+             : " is older than the one this build reads (") +
         std::to_string(kTraceFormatVersion) + ")");
 
   serialize::ByteReader trailer(data + size - kTrailer, kTrailer, context);
-  if (trailer.fixed64() != serialize::fnv1a64(data, size - kTrailer))
+  if (trailer.fixed64() != serialize::fnv1a64_words(data, size - kTrailer))
     throw std::runtime_error(context + ": checksum mismatch (corrupt file)");
 
   CaptureRun capture;
@@ -173,7 +232,7 @@ CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
   capture.tasks.reserve(num_tasks);
   for (std::uint64_t i = 0; i < num_tasks; ++i) {
     CaptureTaskStats t;
-    t.id = static_cast<TaskId>(rd.svarint());
+    t.id = get_int32(rd, "task id");
     t.name = rd.str();
     t.instructions = rd.varint();
     t.compute_cycles = rd.varint();
@@ -182,9 +241,27 @@ CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
   }
   const std::uint64_t num_streams = rd.count("stream");
   capture.trace.streams.reserve(num_streams);
+  std::vector<std::uint64_t> sorted;  // distinctness check, reused
   for (std::uint64_t i = 0; i < num_streams; ++i) {
     const mem::ClientId client = get_client(rd);
     const std::uint64_t events = rd.varint();
+    const std::uint64_t num_lines = rd.count("line");
+    if (num_lines > events)
+      rd.fail("stream of " + client.to_string() + " claims " +
+              std::to_string(num_lines) + " lines for " +
+              std::to_string(events) + " events");
+    std::vector<std::uint64_t> lines(static_cast<std::size_t>(num_lines));
+    std::uint64_t line = 0;  // unsigned: a corrupt delta wraps
+    for (std::uint64_t& l : lines) {
+      line += static_cast<std::uint64_t>(rd.svarint());
+      l = line;
+    }
+    // A repeated line would get two ids, which the fused replay (keyed
+    // by id) and the reference replay (keyed by line) treat differently.
+    sorted.assign(lines.begin(), lines.end());
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
+      rd.fail("stream of " + client.to_string() + " repeats a line");
     const std::uint64_t nbytes = rd.varint();
     if (nbytes > rd.remaining())
       rd.fail("truncated while reading stream bytes");
@@ -194,7 +271,7 @@ CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
               std::to_string(nbytes) + " bytes");
     const std::uint8_t* p = rd.raw(static_cast<std::size_t>(nbytes));
     capture.trace.streams.push_back(ClientTrace::from_encoded(
-        client, events,
+        client, events, std::move(lines),
         std::vector<std::uint8_t>(p, p + static_cast<std::size_t>(nbytes))));
   }
   if (!rd.done())

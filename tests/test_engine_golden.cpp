@@ -1,5 +1,5 @@
 // Golden-value tests for the timing engine. Every field of SimResults
-// and the encoded capture stream of the tiny scenarios are pinned: shared
+// and the decoded capture streams of the tiny scenarios are pinned: shared
 // and partitioned evaluation runs, capture runs at jitter 0 and 1, static
 // scheduling, one and two processors, an epoch-hook run (set stealing)
 // and a phase-hook run (plan following). Any change to which processor
@@ -99,20 +99,80 @@ constexpr ResultGolden kResults[] = {
 struct CaptureGolden {
   const char* name;
   std::uint64_t jitter;
+  std::uint64_t events;
+  std::uint64_t hash;  // FNV-1a 64 of decoded_form(capture)
+};
+
+/// The decoded captures. They hold what the simulation recorded, not how
+/// the file lays it out, so a change of the capture format must leave
+/// every row in place.
+constexpr CaptureGolden kCaptures[] = {
+    {"mpeg2-tiny", 0, 6940, 0x3ad6de34a6064fc8ull},
+    {"mpeg2-tiny", 1, 6940, 0x3ad6de34a6064fc8ull},
+    {"jpeg-canny-tiny", 0, 10233, 0x1e39ec5e082b90b3ull},
+    {"jpeg-canny-tiny", 1, 10260, 0x696e45d70313616cull},
+    {"mpeg2-tiny-rand", 0, 6940, 0x3ad6de34a6064fc8ull},
+    {"mpeg2-tiny-rand", 1, 6940, 0x3ad6de34a6064fc8ull},
+    {"stream-tiny", 0, 24645, 0xb66c7c719cbda513ull},
+    {"stream-tiny", 1, 24261, 0xedeb428efd8ebb10ull},
+};
+
+struct CaptureBytesGolden {
+  const char* name;
+  std::uint64_t jitter;
   std::size_t bytes;
   std::uint64_t hash;  // FNV-1a 64 of encode_capture(capture, "")
 };
 
-constexpr CaptureGolden kCaptures[] = {
-    {"mpeg2-tiny", 0, 10221, 0x9770d28a5e06ef9aull},
-    {"mpeg2-tiny", 1, 10221, 0x9770d28a5e06ef9aull},
-    {"jpeg-canny-tiny", 0, 14659, 0x86e3305751de631full},
-    {"jpeg-canny-tiny", 1, 14650, 0xa5f5ddfd98a35affull},
-    {"mpeg2-tiny-rand", 0, 10221, 0x9770d28a5e06ef9aull},
-    {"mpeg2-tiny-rand", 1, 10221, 0x9770d28a5e06ef9aull},
-    {"stream-tiny", 0, 34755, 0xd24efe4697babc06ull},
-    {"stream-tiny", 1, 34275, 0xe4d2de2ec6ae00d4ull},
+/// The encoded bytes of the same captures, in capture format 2. They move
+/// with the capture file format, and moving them needs a
+/// kTraceFormatVersion bump: a reader must never take one version's bytes
+/// for another's.
+constexpr CaptureBytesGolden kCaptureBytes[] = {
+    {"mpeg2-tiny", 0, 11274, 0xf32e7d6261c204a2ull},
+    {"mpeg2-tiny", 1, 11274, 0xf32e7d6261c204a2ull},
+    {"jpeg-canny-tiny", 0, 15529, 0x8ee544c33f980bbdull},
+    {"jpeg-canny-tiny", 1, 15505, 0x13f58a04e416c68full},
+    {"mpeg2-tiny-rand", 0, 11274, 0xf32e7d6261c204a2ull},
+    {"mpeg2-tiny-rand", 1, 11274, 0xf32e7d6261c204a2ull},
+    {"stream-tiny", 0, 37831, 0x3ba76a4990539b82ull},
+    {"stream-tiny", 1, 37463, 0x4d2476eced18d908ull},
 };
+
+/// Canonical bytes of a capture's decoded content: the line size, the
+/// scheduler clients and the task stats, then per stream its client and
+/// each event's line index, type, write-back flag and task. `events`
+/// counts the events read.
+std::vector<std::uint8_t> decoded_form(const opt::CaptureRun& c,
+                                       std::uint64_t& events) {
+  serialize::ByteWriter w;
+  w.fixed32(c.trace.line_bytes);
+  w.fixed64(c.scheduler_clients.size());
+  for (const mem::ClientId& k : c.scheduler_clients) w.fixed64(k.key());
+  w.fixed64(c.tasks.size());
+  for (const opt::CaptureTaskStats& t : c.tasks) {
+    w.fixed32(static_cast<std::uint32_t>(t.id));
+    w.str(t.name);
+    w.fixed64(t.instructions);
+    w.fixed64(t.compute_cycles);
+    w.fixed64(t.mem_cycles);
+  }
+  w.fixed64(c.trace.streams.size());
+  for (const opt::ClientTrace& s : c.trace.streams) {
+    w.fixed64(s.client().key());
+    w.fixed64(s.events());
+    auto rd = s.reader();
+    opt::TraceEvent ev;
+    while (rd.next(ev)) {
+      w.fixed64(ev.line_index);
+      w.u8(static_cast<std::uint8_t>(ev.type));
+      w.u8(ev.l1_writeback ? 1 : 0);
+      w.fixed32(static_cast<std::uint32_t>(ev.task));
+      ++events;
+    }
+  }
+  return w.take();
+}
 
 /// Compare a run against its pinned row. `extra` appends hook records
 /// (calls, cycles) that SimResults does not carry.
@@ -175,7 +235,9 @@ TEST(EngineGolden, PartitionedRuns) {
   }
 }
 
-TEST(EngineGolden, CaptureStreams) {
+/// The capture of every tiny scenario at jitter 0 and 1.
+template <typename Fn>
+void for_each_capture(Fn&& fn) {
   for (const char* s : kScenarios) {
     const core::ScenarioSpec spec = core::scenarios().get(s);
     core::ExperimentConfig cfg = spec.experiment;
@@ -185,23 +247,50 @@ TEST(EngineGolden, CaptureStreams) {
       bool usable = false;
       const opt::CaptureRun capture = exp.capture_single(run, &usable);
       EXPECT_TRUE(usable) << s;
-      const std::vector<std::uint8_t> bytes = opt::encode_capture(capture, "");
-      const std::uint64_t h = hash_bytes(bytes.data(), bytes.size());
-      const std::string row = "{\"" + std::string(s) + "\", " +
-                              std::to_string(run) + ", " +
-                              std::to_string(bytes.size()) + ", " + hex(h) +
-                              "ull},";
-      const auto* g = std::find_if(
-          std::begin(kCaptures), std::end(kCaptures),
-          [&](const CaptureGolden& x) { return s == std::string(x.name) && x.jitter == run; });
-      if (g == std::end(kCaptures)) {
-        ADD_FAILURE() << "no golden row; pin: " << row;
-        continue;
-      }
-      EXPECT_EQ(bytes.size(), g->bytes) << s << " jitter " << run;
-      EXPECT_EQ(h, g->hash) << s << " jitter " << run << " moved; pin: " << row;
+      fn(std::string(s), run, capture);
     }
   }
+}
+
+/// The row of `table` pinned for (name, jitter), or null after a failure
+/// that prints `row` to pin.
+template <typename Golden, std::size_t N>
+const Golden* find_row(const Golden (&table)[N], const std::string& name,
+                       std::uint64_t jitter, const std::string& row) {
+  for (const Golden& g : table)
+    if (name == g.name && g.jitter == jitter) return &g;
+  ADD_FAILURE() << "no golden row; pin: " << row;
+  return nullptr;
+}
+
+TEST(EngineGolden, CaptureStreams) {
+  for_each_capture([](const std::string& s, std::uint32_t run,
+                      const opt::CaptureRun& capture) {
+    std::uint64_t events = 0;
+    const std::vector<std::uint8_t> form = decoded_form(capture, events);
+    const std::uint64_t h = hash_bytes(form.data(), form.size());
+    const std::string row = "{\"" + s + "\", " + std::to_string(run) + ", " +
+                            std::to_string(events) + ", " + hex(h) + "ull},";
+    const CaptureGolden* g = find_row(kCaptures, s, run, row);
+    if (g == nullptr) return;
+    EXPECT_EQ(events, g->events) << s << " jitter " << run;
+    EXPECT_EQ(h, g->hash) << s << " jitter " << run << " moved; pin: " << row;
+  });
+}
+
+TEST(EngineGolden, CaptureFileBytes) {
+  for_each_capture([](const std::string& s, std::uint32_t run,
+                      const opt::CaptureRun& capture) {
+    const std::vector<std::uint8_t> bytes = opt::encode_capture(capture, "");
+    const std::uint64_t h = hash_bytes(bytes.data(), bytes.size());
+    const std::string row = "{\"" + s + "\", " + std::to_string(run) + ", " +
+                            std::to_string(bytes.size()) + ", " + hex(h) +
+                            "ull},";
+    const CaptureBytesGolden* g = find_row(kCaptureBytes, s, run, row);
+    if (g == nullptr) return;
+    EXPECT_EQ(bytes.size(), g->bytes) << s << " jitter " << run;
+    EXPECT_EQ(h, g->hash) << s << " jitter " << run << " moved; pin: " << row;
+  });
 }
 
 TEST(EngineGolden, StaticScheduling) {

@@ -11,7 +11,8 @@
 // net::FrameServer (the length-prefixed binary cousin built on the same
 // net::SocketServer machinery) gets the equivalent suite: binary-safe
 // echo with pipelined ordering, byte-dripped reassembly, oversized-frame
-// fatality, and busy shedding with framed canned responses.
+// fatality, busy shedding with framed canned responses, and a
+// deterministic-seed fuzz of frame extraction over real connections.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -32,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/frame_server.hpp"
 #include "net/line_server.hpp"
 
@@ -71,6 +73,8 @@ class TestClient {
       off += static_cast<std::size_t>(n);
     }
   }
+
+  void finish_sending() { ::shutdown(fd_, SHUT_WR); }
 
   /// One response line (newline stripped); nullopt when the server closed.
   std::optional<std::string> recv_line() {
@@ -369,6 +373,8 @@ class FrameClient {
     c_.send_raw(frame_encode(payload));
   }
   void send_raw(const std::string& bytes) { c_.send_raw(bytes); }
+  /// Half-close: the server answers what it owes, then closes.
+  void finish_sending() { c_.finish_sending(); }
 
   /// One response frame payload; nullopt when the server closed.
   std::optional<std::string> recv_frame() {
@@ -483,6 +489,166 @@ TEST(FrameServer, BoundedQueueShedsWithBusyFrame) {
     ASSERT_TRUE(resp.has_value());
     EXPECT_EQ(*resp, w);
   }
+}
+
+// ---- Fuzz: frame extraction against a model of the framing ----
+//
+// Each connection sends a script, split into chunks at random and sent
+// with separate writes: random bytes, valid frames (payloads of 0 bytes,
+// of exactly max_frame_bytes and between), valid frames cut short, or
+// valid frames followed by a header declaring max_frame_bytes + 1 or more.
+// The model below reads the script as the server must: every complete
+// frame is answered in order, and a header over the limit is answered
+// with the fatal response, after which the connection closes. Three
+// connections run at once, and a control connection that stays open is
+// served after every round.
+
+constexpr std::size_t kFuzzMaxFrame = 200;
+
+std::string frame_header(std::uint32_t len) {
+  std::string h(kFrameHeaderBytes, '\0');
+  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i)
+    h[i] = static_cast<char>((len >> (8 * i)) & 0xFF);
+  return h;
+}
+
+std::string random_bytes(Rng& rng, std::size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rng.next_u32());
+  return s;
+}
+
+/// What the server owes a script: the echo of each complete frame, then
+/// the fatal response if a header declares more than kFuzzMaxFrame.
+/// `end` is where the script stops being read (just past a fatal header).
+struct FrameModel {
+  std::vector<std::string> responses;
+  bool fatal = false;
+  std::size_t end = 0;
+};
+
+FrameModel model_frames(const std::string& wire) {
+  FrameModel m;
+  std::size_t pos = 0;
+  while (wire.size() - pos >= kFrameHeaderBytes) {
+    std::uint32_t len = 0;
+    for (std::size_t i = 0; i < kFrameHeaderBytes; ++i)
+      len |= static_cast<std::uint32_t>(
+                 static_cast<std::uint8_t>(wire[pos + i]))
+             << (8 * i);
+    if (len > kFuzzMaxFrame) {
+      m.fatal = true;
+      m.end = pos + kFrameHeaderBytes;
+      return m;
+    }
+    if (wire.size() - pos - kFrameHeaderBytes < len) break;
+    m.responses.push_back("echo:" +
+                          wire.substr(pos + kFrameHeaderBytes, len));
+    pos += kFrameHeaderBytes + len;
+  }
+  m.end = wire.size();
+  return m;
+}
+
+std::string fuzz_script(Rng& rng) {
+  const auto valid_frames = [&] {
+    std::string wire;
+    const std::uint64_t frames = 1 + rng.below(5);
+    for (std::uint64_t f = 0; f < frames; ++f) {
+      const std::uint64_t pick = rng.below(4);
+      const std::size_t len = pick == 0   ? 0
+                              : pick == 1 ? kFuzzMaxFrame
+                                          : rng.below(kFuzzMaxFrame);
+      wire += frame_header(static_cast<std::uint32_t>(len)) +
+              random_bytes(rng, len);
+    }
+    return wire;
+  };
+  switch (rng.below(4)) {
+    case 0:
+      return random_bytes(rng, 1 + rng.below(64));
+    case 1:
+      return valid_frames();
+    case 2: {
+      const std::string wire = valid_frames();
+      return wire.substr(0, rng.below(wire.size()));
+    }
+    default: {
+      const std::uint32_t over =
+          rng.chance(0.5) ? kFuzzMaxFrame + 1
+                          : kFuzzMaxFrame + 1 +
+                                static_cast<std::uint32_t>(rng.below(
+                                    0xFFFFFFFFull - kFuzzMaxFrame));
+      return valid_frames() + frame_header(over);
+    }
+  }
+}
+
+TEST(FrameServerFuzz, FramesAnswerInOrderOrCloseAfterAnOversizedHeader) {
+  FrameServerConfig cfg;
+  cfg.workers = 2;
+  cfg.max_frame_bytes = kFuzzMaxFrame;
+  cfg.fatal_response = "FATAL";
+  cfg.handler = [](const std::string& payload) { return "echo:" + payload; };
+  FrameServer server(std::move(cfg));
+  server.start();
+
+  Rng rng(0xF4A3E5EEDull);  // deterministic: any failure reproduces
+  FrameClient control(server.port());
+  std::uint64_t echoes = 0, fatals = 0;
+  for (int round = 0; round < 100; ++round) {
+    std::vector<FrameClient> clients;
+    clients.reserve(3);
+    std::vector<std::vector<std::string>> chunks;
+    std::vector<FrameModel> models;
+    for (int k = 0; k < 3; ++k) {
+      std::string wire = fuzz_script(rng);
+      FrameModel m = model_frames(wire);
+      wire.resize(m.end);  // nothing follows a fatal header
+      std::vector<std::string> parts;
+      for (std::size_t pos = 0; pos < wire.size();) {
+        const std::size_t n = 1 + rng.below(wire.size() - pos);
+        parts.push_back(wire.substr(pos, n));
+        pos += n;
+      }
+      clients.emplace_back(server.port());
+      chunks.push_back(std::move(parts));
+      models.push_back(std::move(m));
+    }
+    // Interleave the connections' writes.
+    for (std::size_t i = 0;; ++i) {
+      bool sent = false;
+      for (std::size_t k = 0; k < clients.size(); ++k)
+        if (i < chunks[k].size()) {
+          clients[k].send_raw(chunks[k][i]);
+          sent = true;
+        }
+      if (!sent) break;
+    }
+    for (std::size_t k = 0; k < clients.size(); ++k) {
+      if (!models[k].fatal) clients[k].finish_sending();
+      for (const std::string& want : models[k].responses)
+        ASSERT_EQ(clients[k].recv_frame(), std::optional<std::string>(want))
+            << "round " << round << ", connection " << k;
+      if (models[k].fatal) {
+        ASSERT_EQ(clients[k].recv_frame(), std::optional<std::string>("FATAL"))
+            << "round " << round << ", connection " << k;
+      }
+      ASSERT_EQ(clients[k].recv_frame(), std::nullopt)
+          << "round " << round << ", connection " << k << " stayed open";
+      echoes += models[k].responses.size();
+      fatals += models[k].fatal ? 1 : 0;
+    }
+    const std::string ping = "ping-" + std::to_string(round);
+    control.send_frame(ping);
+    ASSERT_EQ(control.recv_frame(), std::optional<std::string>("echo:" + ping));
+  }
+  EXPECT_GT(echoes, 100u);
+  EXPECT_GT(fatals, 20u);
+  const FrameServer::Stats s = server.stats();
+  EXPECT_EQ(s.served, echoes + 100);
+  EXPECT_EQ(s.closed_protocol, fatals);
+  EXPECT_EQ(s.shed, 0u);
 }
 
 TEST(FrameServer, ConstructorValidatesConfig) {

@@ -341,14 +341,27 @@ TEST(ReplayKernelSynthetic, UnplannedClientThrows) {
 }
 
 // The one decode is bounds-checked like ClientTrace::Reader: a stream
-// whose bytes end mid-event throws instead of reading past them.
+// whose bytes end mid-event, or whose event names a line id beyond its
+// dictionary, throws instead of reading past them.
 TEST(ReplayKernelSynthetic, TruncatedStreamThrows) {
   CaptureRun c = synth_capture();
   const ClientTrace& whole = c.trace.streams[0];
   std::vector<std::uint8_t> bytes = whole.encoded();
   bytes.resize(bytes.size() / 2);
   c.trace.streams[0] = ClientTrace::from_encoded(
-      whole.client(), whole.events(), std::move(bytes));
+      whole.client(), whole.events(), whole.lines(), std::move(bytes));
+  std::vector<ReplayGridPoint> points = {{synth_plan(c, 2), 2, 0}};
+  MultiReplay mr(c, std::move(points), mem::CacheConfig(), kSeed);
+  EXPECT_THROW(mr.replay_stream(0), std::runtime_error);
+}
+
+TEST(ReplayKernelSynthetic, LineIdBeyondTheDictionaryThrows) {
+  CaptureRun c = synth_capture();
+  const ClientTrace& whole = c.trace.streams[0];
+  std::vector<std::uint64_t> lines = whole.lines();
+  lines.pop_back();  // the last id now names no line
+  c.trace.streams[0] = ClientTrace::from_encoded(
+      whole.client(), whole.events(), std::move(lines), whole.encoded());
   std::vector<ReplayGridPoint> points = {{synth_plan(c, 2), 2, 0}};
   MultiReplay mr(c, std::move(points), mem::CacheConfig(), kSeed);
   EXPECT_THROW(mr.replay_stream(0), std::runtime_error);

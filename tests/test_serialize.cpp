@@ -119,6 +119,35 @@ TEST(Serialize, Fnv1a64MatchesReferenceVectors) {
   EXPECT_EQ(fnv1a64(foobar, 6), 0x85944171f73967e8ull);
 }
 
+// The word checksum is FNV-1a over little-endian 8-byte words, then the
+// tail bytes as fnv1a64 takes them; below one word it is fnv1a64.
+TEST(Serialize, Fnv1a64WordsHashesWordsThenTail) {
+  const std::uint8_t bytes[] = {'f', 'o', 'o', 'b', 'a', 'r', 'b', 'a', 'z',
+                                '!', '?'};
+  EXPECT_EQ(fnv1a64_words(bytes, 0), kFnvOffset);
+  EXPECT_EQ(fnv1a64_words(bytes, 6), fnv1a64(bytes, 6));
+  const std::uint64_t word = 0x61627261626F6F66ull;  // "foobarba", LE
+  const std::uint64_t after_word = (kFnvOffset ^ word) * kFnvPrime;
+  EXPECT_EQ(fnv1a64_words(bytes, 8), after_word);
+  EXPECT_EQ(fnv1a64_words(bytes, 11), fnv1a64(bytes + 8, 3, after_word));
+}
+
+// Xor with a word and the odd multiply are bijections of the state, so
+// changing any one byte always changes the checksum.
+TEST(Serialize, Fnv1a64WordsCatchesEverySingleByteChange) {
+  cms::Rng rng(0x5EED5ull);
+  std::vector<std::uint8_t> buf(45);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next_u32());
+  const std::uint64_t h = fnv1a64_words(buf.data(), buf.size());
+  for (std::size_t pos = 0; pos < buf.size(); ++pos)
+    for (int flip = 1; flip < 256; ++flip) {
+      buf[pos] ^= static_cast<std::uint8_t>(flip);
+      EXPECT_NE(fnv1a64_words(buf.data(), buf.size()), h)
+          << "byte " << pos << " xor " << flip;
+      buf[pos] ^= static_cast<std::uint8_t>(flip);
+    }
+}
+
 // ---- Property/fuzz pass (deterministic seeds: failures reproduce) ----
 
 TEST(SerializeFuzz, ReaderNeverOverrunsOnRandomBuffers) {

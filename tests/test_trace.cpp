@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "common/serialize.hpp"
 #include "core/scenario.hpp"
 #include "opt/trace.hpp"
 
@@ -34,14 +35,32 @@ TEST(ClientTrace, RoundTripsEvents) {
     EXPECT_EQ(ev.type, want.type);
     EXPECT_EQ(ev.l1_writeback, want.l1_writeback);
     EXPECT_EQ(ev.task, want.task);
+    EXPECT_EQ(t.lines()[ev.line_id], want.line_index);
   }
   EXPECT_FALSE(rd.next(ev));
+  EXPECT_EQ(t.lines().size(), 5u);  // line 90 is stored once
+}
 
-  // Sequential access encodes compactly: ~1 byte per event.
+// Format 2 stores each distinct line once, as a zigzag delta from the
+// line before it (1 byte in a sweep), and each event by its line's id: 1
+// byte for ids below 16, 2 bytes below 2^11, plus the issuer when it
+// changes. A first-touch sweep therefore costs about 3 bytes per event,
+// and re-reading a stream's lines at most 2 once it has fewer than 2^11.
+TEST(ClientTrace, EncodedSizePerEvent) {
+  constexpr std::uint64_t kLines = (1u << 11) - 1;
   ClientTrace seq(mem::ClientId::buffer(1));
-  for (std::uint64_t i = 0; i < 1000; ++i)
+  for (std::uint64_t i = 0; i < kLines; ++i)
     seq.append(500 + i, AccessType::kRead, false, 2);
-  EXPECT_LE(seq.encoded_bytes(), 1005u);
+  CaptureRun c;
+  c.trace.streams.push_back(seq);
+  // 40 bytes cover the file's header, counts and trailer.
+  EXPECT_LE(encode_capture(c, "").size(), 3 * kLines + 40);
+
+  const std::size_t swept = seq.encoded_bytes();
+  for (std::uint64_t i = 0; i < kLines; ++i)
+    seq.append(500 + (i * 7) % kLines, AccessType::kWrite, i % 3 == 0, 2);
+  EXPECT_EQ(seq.lines().size(), kLines);
+  EXPECT_LE(seq.encoded_bytes() - swept, 2 * kLines);
 }
 
 TEST(ClientTrace, ReaderIsRestartable) {
@@ -57,20 +76,62 @@ TEST(ClientTrace, ReaderIsRestartable) {
   }
 }
 
-// The reader rejects bytes that end mid-varint, and a varint longer than
-// 10 bytes, with std::runtime_error.
+/// Varints `values` as raw stream bytes.
+std::vector<std::uint8_t> varints(const std::vector<std::uint64_t>& values) {
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint64_t v : values) serialize::put_varint(bytes, v);
+  return bytes;
+}
+
+// The reader rejects, with std::runtime_error, bytes that end mid-varint,
+// a varint longer than 10 bytes, a line id beyond the stream's lines and
+// an issuer beyond 32 bits.
 TEST(ClientTrace, ReaderRejectsCorruptEncodings) {
-  ClientTrace t(mem::ClientId::task(0));
-  t.append(1u << 20, AccessType::kRead, false, 0);  // a multi-byte head
-  std::vector<std::uint8_t> truncated = t.encoded();
+  const std::vector<std::uint64_t> lines = {7, 3, 1u << 20, 12, 13, 14, 15,
+                                            16, 17, 18, 19, 20, 21, 22,
+                                            23, 24, 25, 26};
+  std::vector<std::uint8_t> truncated = varints({17 << 3});  // 2 bytes
+  ASSERT_EQ(truncated.size(), 2u);
   truncated.pop_back();
   const std::vector<std::uint8_t> overlong(11, 0x80);
-  for (const std::vector<std::uint8_t>& bytes : {truncated, overlong}) {
-    const ClientTrace bad = ClientTrace::from_encoded(t.client(), 1, bytes);
+  const std::vector<std::uint8_t> beyond = varints({18 << 3});
+  const std::vector<std::uint8_t> wide_issuer =
+      varints({1 << 3 | 4, std::uint64_t{1} << 32});
+  for (const std::vector<std::uint8_t>& bytes :
+       {truncated, overlong, beyond, wide_issuer}) {
+    const ClientTrace bad =
+        ClientTrace::from_encoded(mem::ClientId::task(0), 1, lines, bytes);
     auto rd = bad.reader();
     TraceEvent ev;
     EXPECT_THROW(rd.next(ev), std::runtime_error);
   }
+  // The largest issuer and the last id still read.
+  const ClientTrace good = ClientTrace::from_encoded(
+      mem::ClientId::task(0), 1, lines, varints({17 << 3 | 4, 0xFFFFFFFFull}));
+  auto rd = good.reader();
+  TraceEvent ev;
+  ASSERT_TRUE(rd.next(ev));
+  EXPECT_EQ(ev.line_index, 26u);
+  EXPECT_EQ(ev.line_id, 17u);
+  EXPECT_EQ(ev.task, kInvalidTask);
+}
+
+// Only a recording stream holds the encoder's line -> id map: a stream
+// rebuilt from its bytes or handed out by the recorder is sealed.
+TEST(ClientTrace, SealedStreamsRefuseAppends) {
+  ClientTrace t(mem::ClientId::task(0));
+  t.append(42, AccessType::kRead, false, 0);
+  ClientTrace copy =
+      ClientTrace::from_encoded(t.client(), t.events(), t.lines(), t.encoded());
+  EXPECT_THROW(copy.append(43, AccessType::kRead, false, 0), std::logic_error);
+  TraceRecorder rec(64);
+  rec.on_l2_access({mem::ClientId::task(0), 0, 0x100 * 64, AccessType::kRead,
+                    false});
+  AccessTrace trace = rec.take();
+  EXPECT_THROW(trace.streams[0].append(1, AccessType::kRead, false, 0),
+               std::logic_error);
+  t.seal();
+  EXPECT_THROW(t.append(43, AccessType::kRead, false, 0), std::logic_error);
 }
 
 TEST(TraceRecorder, GroupsByClientAndSorts) {

@@ -1,9 +1,10 @@
 // Tests for the trace file format (opt/trace.hpp encode/decode) and the
 // content-addressed TraceStore (opt/trace_store.hpp): exact round trips,
 // every failure path of the on-disk format as the store reads it
-// (truncation, bad magic, future schema version, checksum mismatch, a
-// checksum-valid count the payload cannot hold — all std::runtime_error,
-// with the offending path), digest keying, and
+// (truncation, bad magic, another schema version, checksum mismatch, a
+// checksum-valid count, dictionary, client or id the encoder cannot have
+// written — all std::runtime_error, with the offending path), digest
+// keying, and
 // warm-starting Experiment profiling from the store.
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "common/serialize.hpp"
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
+#include "opt/replay_kernel.hpp"
 #include "opt/trace.hpp"
 #include "opt/trace_store.hpp"
 
@@ -178,6 +180,23 @@ TEST(TraceFormat, FutureSchemaVersionThrowsWithPath) {
   // checksum differently, and "please upgrade" beats "corrupt file".
   expect_error_mentioning([&] { store.load("d"); }, path);
   expect_error_mentioning([&] { store.load("d"); }, "version");
+}
+
+// A file of an older format fails as a version problem that names both
+// versions, never as a layout read the wrong way.
+TEST(TraceFormat, OlderSchemaVersionThrowsNamingBoth) {
+  TempDir tmp;
+  const TraceStore store(tmp.file("store"));
+  store.save("d", sample_capture());
+  const std::string path = store.path_of("d");
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(8);
+  f.put(1);  // version 1
+  f.close();
+  expect_error_mentioning([&] { store.load("d"); }, path);
+  expect_error_mentioning([&] { store.load("d"); }, "version 1 ");
+  expect_error_mentioning([&] { store.load("d"); },
+                          "(" + std::to_string(kTraceFormatVersion) + ")");
 }
 
 TEST(TraceFormat, ChecksumMismatchThrowsWithPath) {
@@ -652,9 +671,9 @@ TEST_P(TraceStoreAnyBackend, CorruptEntryThrowsInsteadOfServing) {
 }
 
 /// A capture file whose counts `fill` writes by hand after the header,
-/// digest and line size, sealed with a recomputed trailer. FNV-1a is
-/// easy to recompute, so a checksum-valid file can still claim any count
-/// or line size.
+/// digest and line size, sealed with a recomputed trailer. The checksum
+/// is easy to recompute, so a checksum-valid file can still claim any
+/// count, id or line size.
 std::vector<std::uint8_t> crafted_capture(
     const std::string& digest,
     const std::function<void(serialize::ByteWriter&)>& fill,
@@ -665,22 +684,45 @@ std::vector<std::uint8_t> crafted_capture(
   w.str(digest);
   w.varint(line_bytes);
   fill(w);
-  w.fixed64(serialize::fnv1a64(w.bytes().data(), w.size()));
+  w.fixed64(serialize::fnv1a64_words(w.bytes().data(), w.size()));
   return w.take();
 }
 
-/// One stream of `events` events in `nbytes` bytes, after empty
+/// One stream of task 0 with `events` events in `nbytes` bytes (each 0:
+/// line id 0, a read) over the dictionary `lines`, after empty
 /// scheduler-client and task tables.
 void one_stream(serialize::ByteWriter& w, std::uint64_t events,
-                std::uint64_t nbytes) {
+                std::uint64_t nbytes,
+                const std::vector<std::uint64_t>& lines = {0}) {
   w.varint(0);  // scheduler clients
   w.varint(0);  // tasks
   w.varint(1);  // streams
   w.u8(static_cast<std::uint8_t>(mem::ClientId::task(0).kind));
   w.svarint(0);
   w.varint(events);
+  w.varint(lines.size());
+  std::uint64_t prev = 0;
+  for (const std::uint64_t line : lines) {
+    w.svarint(static_cast<std::int64_t>(line - prev));
+    prev = line;
+  }
   w.varint(nbytes);
   for (std::uint64_t i = 0; i < nbytes; ++i) w.u8(0);
+}
+
+/// Replay every stream of `c` at one grid point of 2 sets per client.
+void replay_all(const CaptureRun& c) {
+  auto plan = std::make_shared<PartitionPlan>();
+  plan->total_sets = 64;
+  for (const ClientTrace& s : c.trace.streams) {
+    PlanEntry e;
+    e.client = s.client();
+    e.name = s.client().to_string();
+    e.partition = {0, 2};
+    plan->entries.push_back(std::move(e));
+  }
+  MultiReplay mr(c, {{plan, 2, 0}}, mem::CacheConfig(), 1);
+  for (std::size_t s = 0; s < mr.num_streams(); ++s) mr.replay_stream(s);
 }
 
 // A count the payload cannot hold is corruption: std::runtime_error from
@@ -702,12 +744,12 @@ TEST_P(TraceStoreAnyBackend, CountsBeyondThePayloadThrow) {
       [&](serialize::ByteWriter& w) { one_stream(w, k40, 16); },
   };
   const TraceStore store(backend());
-  // The same layout with counts it can hold decodes.
+  // The same layout with counts it can hold decodes and replays.
   const auto good = crafted_capture(
       "good", [](serialize::ByteWriter& w) { one_stream(w, 16, 16); });
-  EXPECT_EQ(decode_capture(good.data(), good.size(), "good")
-                .trace.total_events(),
-            16u);
+  const CaptureRun decoded = decode_capture(good.data(), good.size(), "good");
+  EXPECT_EQ(decoded.trace.total_events(), 16u);
+  EXPECT_NO_THROW(replay_all(decoded));
   for (std::size_t i = 0; i < bad.size(); ++i) {
     const std::string digest = "crafted-" + std::to_string(i);
     const std::vector<std::uint8_t> bytes = crafted_capture(digest, bad[i]);
@@ -735,6 +777,146 @@ TEST_P(TraceStoreAnyBackend, LineSizesTheEncoderCannotWriteThrow) {
         << digest;
     backend()->put(BlobKind::kTrace, digest, bytes);
     EXPECT_THROW(store.load(digest), std::runtime_error) << digest;
+  }
+}
+
+/// Put `bytes` under `digest` and expect std::runtime_error from both
+/// decode_capture and the store's load.
+void expect_undecodable(StoreBackend& backend, const TraceStore& store,
+                        const std::string& digest,
+                        const std::vector<std::uint8_t>& bytes) {
+  EXPECT_THROW(decode_capture(bytes.data(), bytes.size(), digest),
+               std::runtime_error)
+      << digest;
+  backend.put(BlobKind::kTrace, digest, bytes);
+  EXPECT_THROW(store.load(digest), std::runtime_error) << digest;
+}
+
+// A client kind other than none, task or buffer, and a client or task id
+// outside 32 bits, cannot come from the encoder: the decoder rejects them
+// instead of handing a replay a client it cannot plan.
+TEST_P(TraceStoreAnyBackend, ClientKindsAndIdsTheEncoderCannotWriteThrow) {
+  constexpr std::int64_t k31 = std::int64_t{1} << 31;
+  const auto stream_of = [](std::uint8_t kind, std::int64_t id) {
+    return [=](serialize::ByteWriter& w) {
+      w.varint(0);  // scheduler clients
+      w.varint(0);  // tasks
+      w.varint(1);  // streams
+      w.u8(kind);
+      w.svarint(id);
+      w.varint(1);  // events
+      w.varint(1);  // lines
+      w.svarint(0);
+      w.varint(1);  // event bytes
+      w.u8(0);
+    };
+  };
+  const std::vector<std::function<void(serialize::ByteWriter&)>> bad = {
+      stream_of(3, 0),
+      stream_of(7, 0),
+      stream_of(1, k31),
+      stream_of(2, -k31 - 1),
+      [](serialize::ByteWriter& w) {  // scheduler client of kind 7
+        w.varint(1);
+        w.u8(7);
+        w.svarint(0);
+        w.varint(0);
+        w.varint(0);
+      },
+      [&](serialize::ByteWriter& w) {  // task id 2^31
+        w.varint(0);
+        w.varint(1);
+        w.svarint(k31);
+        w.str("t");
+        w.varint(1);
+        w.varint(1);
+        w.varint(1);
+        w.varint(0);
+      },
+  };
+  const TraceStore store(backend());
+  // The extremes the encoder can write decode.
+  for (const auto& fill : {stream_of(0, -k31), stream_of(2, k31 - 1)}) {
+    const auto good = crafted_capture("good", fill);
+    EXPECT_NO_THROW(decode_capture(good.data(), good.size(), "good"));
+  }
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const std::string digest = "client-" + std::to_string(i);
+    expect_undecodable(*backend(), store, digest,
+                       crafted_capture(digest, bad[i]));
+  }
+}
+
+// A stream's dictionary must hold what the encoder writes: at most one
+// line per event, each line once, within the payload.
+TEST_P(TraceStoreAnyBackend, MalformedDictionariesThrow) {
+  const std::vector<std::function<void(serialize::ByteWriter&)>> bad = {
+      [](serialize::ByteWriter& w) {  // a line count beyond the payload
+        w.varint(0);
+        w.varint(0);
+        w.varint(1);
+        w.u8(static_cast<std::uint8_t>(mem::ClientKind::kTask));
+        w.svarint(0);
+        w.varint(std::uint64_t{1} << 40);
+        w.varint(std::uint64_t{1} << 40);
+      },
+      [](serialize::ByteWriter& w) { one_stream(w, 2, 2, {0, 1, 2}); },
+      [](serialize::ByteWriter& w) { one_stream(w, 4, 4, {5, 9, 5}); },
+      [](serialize::ByteWriter& w) { one_stream(w, 4, 4, {9, 9}); },
+  };
+  const TraceStore store(backend());
+  const auto good = crafted_capture("good", [](serialize::ByteWriter& w) {
+    one_stream(w, 3, 3, {5, 9, 1});
+  });
+  EXPECT_EQ(decode_capture(good.data(), good.size(), "good")
+                .trace.streams[0]
+                .lines(),
+            (std::vector<std::uint64_t>{5, 9, 1}));
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const std::string digest = "dictionary-" + std::to_string(i);
+    expect_undecodable(*backend(), store, digest,
+                       crafted_capture(digest, bad[i]));
+  }
+}
+
+// Events are checked as they are read: a line id beyond the dictionary or
+// an issuer beyond 32 bits decodes and loads, then throws
+// std::runtime_error from the replay.
+TEST_P(TraceStoreAnyBackend, EventsTheEncoderCannotWriteThrowOnReplay) {
+  const auto stream_with = [](std::vector<std::uint64_t> event_varints) {
+    return [=](serialize::ByteWriter& w) {
+      w.varint(0);
+      w.varint(0);
+      w.varint(1);
+      w.u8(static_cast<std::uint8_t>(mem::ClientKind::kTask));
+      w.svarint(0);
+      w.varint(1);  // events
+      w.varint(1);  // lines
+      w.svarint(40);
+      serialize::ByteWriter events;
+      for (const std::uint64_t v : event_varints) events.varint(v);
+      w.varint(events.size());
+      w.raw(events.bytes().data(), events.size());
+    };
+  };
+  const TraceStore store(backend());
+  const auto good = crafted_capture(
+      "good", stream_with({0 << 3 | 4, std::uint64_t{0xFFFFFFFF}}));
+  EXPECT_NO_THROW(
+      replay_all(decode_capture(good.data(), good.size(), "good")));
+  const std::vector<std::vector<std::uint64_t>> bad = {
+      {1 << 3}, {0 << 3 | 4, std::uint64_t{1} << 32}};
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const std::string digest = "event-" + std::to_string(i);
+    const std::vector<std::uint8_t> bytes =
+        crafted_capture(digest, stream_with(bad[i]));
+    const CaptureRun decoded =
+        decode_capture(bytes.data(), bytes.size(), digest);
+    EXPECT_THROW(replay_all(decoded), std::runtime_error) << digest;
+    backend()->put(BlobKind::kTrace, digest, bytes);
+    const std::optional<CaptureRun> loaded = store.load(digest);
+    ASSERT_TRUE(loaded.has_value()) << digest;
+    EXPECT_THROW(replay_all(*loaded), std::runtime_error) << digest;
   }
 }
 
