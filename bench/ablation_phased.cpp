@@ -21,7 +21,6 @@
 //     global plan: adapts toward the active phase by stealing, but only
 //     set-by-set, chasing each phase change instead of anticipating it.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -114,12 +113,6 @@ PhasedRun run_phased(const core::ScenarioSpec& spec, Strategy strat,
   return out;
 }
 
-const char* parse_json_path(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], "--json") == 0) return argv[i + 1];
-  return nullptr;
-}
-
 void json_run(std::FILE* f, const char* key, const PhasedRun& r) {
   std::fprintf(
       f,
@@ -138,7 +131,8 @@ void json_run(std::FILE* f, const char* key, const PhasedRun& r) {
 
 int main(int argc, char** argv) {
   const bool quick = bench::has_flag(argc, argv, "--quick");
-  const char* json_path = parse_json_path(argc, argv);
+  const std::string json_path =
+      bench::parse_string_flag(argc, argv, "--json");
   const std::string scenario_name = "stream-tiny";
   print_banner("Ablation H: per-phase replanning vs global plan vs stealing (" +
                scenario_name + ")");
@@ -266,10 +260,10 @@ int main(int argc, char** argv) {
       wins ? "Plan-following wins on total misses."
            : "UNEXPECTED: plan-following did not win.");
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
+  if (!json_path.empty()) {
+    std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
-      std::printf("cannot write %s\n", json_path);
+      std::printf("cannot write %s\n", json_path.c_str());
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"ablation_phased\",\n");

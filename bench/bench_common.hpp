@@ -32,8 +32,8 @@ using core::has_flag;
 using core::parse_jobs;
 using core::parse_profiler;
 using core::parse_store_l2;
-using core::parse_store_l2_dir;
 using core::parse_store_l2_target;
+using core::parse_string_flag;
 using core::parse_trace_dir;
 using core::parse_trace_mode;
 

@@ -73,12 +73,12 @@ int main(int argc, char** argv) {
   const std::string l2_target = bench::parse_store_l2_target(argc, argv);
   const core::StoreL2Mode l2 = bench::parse_store_l2(argc, argv);
   const opt::TraceStore::Capacity capacity{
-      core::parse_service_budget_bytes(argc, argv),
-      core::parse_service_budget_entries(argc, argv)};
+      core::parse_u64_flag(argc, argv, "--service-budget-bytes"),
+      core::parse_u64_flag(argc, argv, "--service-budget-entries")};
   const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
   const opt::TraceStore::Capacity cache_budget{
-      core::parse_plan_cache_budget_bytes(argc, argv),
-      core::parse_plan_cache_budget_entries(argc, argv)};
+      core::parse_u64_flag(argc, argv, "--plan-cache-budget-bytes"),
+      core::parse_u64_flag(argc, argv, "--plan-cache-budget-entries")};
 
   // Each service instance composes its own backend over the shared dirs —
   // fresh instances model separate server processes, tiered when a far

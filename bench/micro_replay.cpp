@@ -42,7 +42,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -92,18 +91,6 @@ void recon_error_at(const core::Experiment& exp,
     worst = std::max(worst, err);
     ++n;
   }
-}
-
-std::string parse_profile_out(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--profile-out") == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "warning: --profile-out needs a file\n");
-      return {};
-    }
-    if (std::strncmp(argv[i], "--profile-out=", 14) == 0) return argv[i] + 14;
-  }
-  return {};
 }
 
 /// The per-engine timing mode: replay-only wall-clock of every engine
@@ -199,7 +186,8 @@ int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv, 1);
   const bool quick = bench::has_flag(argc, argv, "--quick");
   const auto store = bench::parse_trace_store(argc, argv);
-  const std::string profile_out = parse_profile_out(argc, argv);
+  const std::string profile_out =
+      bench::parse_string_flag(argc, argv, "--profile-out");
 
   if (bench::has_flag(argc, argv, "--compare-kernels"))
     return compare_kernels(jobs, store) ? 0 : 1;

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\ntotal: %u of %u sets allocated (%u spare), expected task misses "
       "%.0f\n",
-      plan.used_sets, plan.total_sets, plan.spare.num_sets,
+      plan.used_sets, plan.total_sets, plan.total_sets - plan.used_sets,
       plan.expected_task_misses);
   std::printf(
       "paper's Table 1 (for scale, 2048-set L2): FrontEnd 4, IDCT 1, Raster "

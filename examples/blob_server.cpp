@@ -68,9 +68,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const unsigned workers = core::parse_net_workers(argc, argv);
   net::FrameServerConfig cfg;
   cfg.port = core::parse_port(argc, argv);
-  cfg.workers = core::parse_net_workers(argc, argv);
+  cfg.workers = workers;
   cfg.max_pending = core::parse_max_pending(argc, argv);
   cfg.busy_response = opt::blob_error_response("server busy (queue full)");
   cfg.fatal_response =
@@ -89,8 +90,9 @@ int main(int argc, char** argv) {
                  "blob_server exporting %s (%s) on 127.0.0.1:%u (%u "
                  "workers)\n",
                  backend->describe().c_str(), writable ? "rw" : "ro",
-                 server.port(), core::parse_net_workers(argc, argv));
-    const std::string port_file = core::parse_port_file(argc, argv);
+                 server.port(), workers);
+    const std::string port_file =
+        core::parse_string_flag(argc, argv, "--port-file");
     if (!port_file.empty()) {
       std::ofstream pf(port_file, std::ios::trunc);
       pf << server.port() << "\n";

@@ -217,8 +217,8 @@ int run_service_planned(int argc, char** argv, const std::string& dir) {
   }
   const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
   const opt::TraceStore::Capacity cache_budget{
-      core::parse_plan_cache_budget_bytes(argc, argv),
-      core::parse_plan_cache_budget_entries(argc, argv)};
+      core::parse_u64_flag(argc, argv, "--plan-cache-budget-bytes"),
+      core::parse_u64_flag(argc, argv, "--plan-cache-budget-entries")};
 
   register_farm_scenarios();
   // One backend shared by the store and the plan cache's disk tier, the

@@ -91,6 +91,7 @@
 #include "svc/planning_service.hpp"
 
 using namespace cms;
+using svc::json_escape;
 
 namespace {
 
@@ -106,23 +107,6 @@ std::string format(const char* fmt, ...) {
   std::string out(n > 0 ? static_cast<std::size_t>(n) : 0, '\0');
   if (n > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, args);
   va_end(args);
-  return out;
-}
-
-/// Minimal JSON string escaping for error messages and names.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
   return out;
 }
 
@@ -362,12 +346,12 @@ int main(int argc, char** argv) {
   const std::string l2_target = core::parse_store_l2_target(argc, argv);
   const core::StoreL2Mode l2 = core::parse_store_l2(argc, argv);
   const opt::TraceStore::Capacity capacity{
-      core::parse_service_budget_bytes(argc, argv),
-      core::parse_service_budget_entries(argc, argv)};
+      core::parse_u64_flag(argc, argv, "--service-budget-bytes"),
+      core::parse_u64_flag(argc, argv, "--service-budget-entries")};
   const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
   const opt::TraceStore::Capacity cache_budget{
-      core::parse_plan_cache_budget_bytes(argc, argv),
-      core::parse_plan_cache_budget_entries(argc, argv)};
+      core::parse_u64_flag(argc, argv, "--plan-cache-budget-bytes"),
+      core::parse_u64_flag(argc, argv, "--plan-cache-budget-entries")};
   const bool socket_mode = core::has_value_flag(argc, argv, "--port");
 
   // ONE backend (dir, or tiered dir-over-dir) shared by the trace store
@@ -394,10 +378,12 @@ int main(int argc, char** argv) {
                jobs, jobs == 1 ? "" : "s");
 
   if (socket_mode) {
+    const unsigned workers = core::parse_net_workers(argc, argv);
+    const std::size_t max_pending = core::parse_max_pending(argc, argv);
     net::LineServerConfig net_cfg;
     net_cfg.port = core::parse_port(argc, argv);
-    net_cfg.workers = core::parse_net_workers(argc, argv);
-    net_cfg.max_pending = core::parse_max_pending(argc, argv);
+    net_cfg.workers = workers;
+    net_cfg.max_pending = max_pending;
     net_cfg.busy_response = error_json("error busy (queue full, retry)");
     net_cfg.deadline_response =
         error_json("error deadline expired in queue");
@@ -415,14 +401,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "plan_server listening on 127.0.0.1:%u (%u net workers, "
                  "%llu max pending)\n",
-                 server.port(), core::parse_net_workers(argc, argv),
-                 static_cast<unsigned long long>(
-                     core::parse_max_pending(argc, argv)));
+                 server.port(), workers,
+                 static_cast<unsigned long long>(max_pending));
     g_server = &server;
     std::signal(SIGTERM, on_signal);
     std::signal(SIGINT, on_signal);
     server.start();
-    const std::string port_file = core::parse_port_file(argc, argv);
+    const std::string port_file =
+        core::parse_string_flag(argc, argv, "--port-file");
     if (!port_file.empty()) {
       std::ofstream pf(port_file, std::ios::trunc);
       pf << server.port() << "\n";

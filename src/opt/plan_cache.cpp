@@ -154,15 +154,16 @@ std::string PlanKey::digest() const {
   w.varint(l2_size_bytes);
   w.varint(planner.frame_buffer_sets);
   w.varint(planner.segment_sets);
-  w.varint(planner.size_grid.size());
-  for (const std::uint32_t sets : planner.size_grid) w.varint(sets);
-  w.u8(planner.prune_dominated ? 1 : 0);
+  // Retired planner knobs keep their bytes (an empty size grid, pruning
+  // on), so existing keys and .cmsplan entries stay valid.
+  w.varint(0);
+  w.u8(1);
   // Any negative eps means auto-tune; the tuned value is a pure function
   // of the captures + grid hashed above, so all autos share one key.
   put_double(w, planner.curvature_eps < 0.0
                     ? PlannerConfig::kAutoCurvatureEps
                     : planner.curvature_eps);
-  w.u8(static_cast<std::uint8_t>(planner.solver));
+  w.u8(0);  // retired solver selection: always DP
   w.varint(planner.max_fifo_sets);
   return serialize::fnv1a128_hex(w.bytes().data(), w.size());
 }

@@ -174,17 +174,13 @@ PartitionPlan plan_partitions(
   auto make_group = [&](const std::string& name) {
     MckpGroup g;
     g.name = name;
-    std::vector<std::uint32_t> sizes =
-        cfg.size_grid.empty() ? prof.sizes(name) : cfg.size_grid;
-    for (const std::uint32_t sz : sizes) {
-      if (!prof.curve(name).contains(sz)) continue;
+    for (const std::uint32_t sz : prof.sizes(name))
       g.items.push_back({sz, prof.misses(name, sz)});
-    }
     if (g.items.empty()) {
       g.items.push_back({1, 0.0});  // unprofiled client
-    } else if (cfg.prune_dominated) {
+    } else {
       // Dense replay grids are mostly flat; dominance (exact) plus
-      // optional curvature thinning keeps the solvers fast at 64+ points.
+      // optional curvature thinning keeps the DP fast at 64+ points.
       prune_mckp_items(g.items, curve_eps);
     }
     return g;
@@ -192,16 +188,7 @@ PartitionPlan plan_partitions(
   for (const auto& [id, name] : tasks) groups.push_back(make_group(name));
   for (const auto* b : frame_bufs) groups.push_back(make_group(b->name));
 
-  MckpSolution sol;
-  switch (cfg.solver) {
-    case TaskSolver::kDp: sol = solve_mckp_dp(groups, task_capacity); break;
-    case TaskSolver::kBranchBound:
-      sol = solve_mckp_branch_bound(groups, task_capacity);
-      break;
-    case TaskSolver::kGreedy:
-      sol = solve_mckp_greedy(groups, task_capacity);
-      break;
-  }
+  const MckpSolution sol = solve_mckp_dp(groups, task_capacity);
   if (!sol.feasible) {
     log_warn() << "partition plan infeasible: task MCKP has no solution in "
                << task_capacity << " sets";

@@ -58,19 +58,9 @@ struct PartitionPlan {
   void apply(mem::PartitionedCache& cache) const;
 };
 
-enum class TaskSolver { kDp, kBranchBound, kGreedy };
-
 struct PlannerConfig {
   std::uint32_t frame_buffer_sets = 16;
   std::uint32_t segment_sets = 4;
-  /// Candidate set counts per task; empty = every size present in the
-  /// profile (dense replay-profiled grids plug in directly).
-  std::vector<std::uint32_t> size_grid;
-  /// Delete dominated (size, cost) candidates before solving (exact —
-  /// never changes the optimal cost; see prune_mckp_items). Dense grids
-  /// are mostly flat, so this typically collapses 64+ candidates per task
-  /// to a handful.
-  bool prune_dominated = true;
   /// curvature_eps sentinel: auto-tune the thinning tolerance from the
   /// measured noise instead of hand-picking it.
   static constexpr double kAutoCurvatureEps = -1.0;
@@ -81,7 +71,6 @@ struct PlannerConfig {
   /// at plan time (see auto_curvature_eps) — a profile without repeated
   /// measurements resolves to 0, i.e. lossless pruning only.
   double curvature_eps = kAutoCurvatureEps;
-  TaskSolver solver = TaskSolver::kDp;
   /// Cap a single FIFO's allocation (pathologically large FIFOs would
   /// otherwise starve the tasks).
   std::uint32_t max_fifo_sets = 256;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -172,6 +173,27 @@ void digest_one(serialize::ByteWriter& w, const PlanResponse& resp) {
 }
 
 }  // namespace
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (byte < 0x20) {
+      char esc[7];
+      std::snprintf(esc, sizeof esc, "\\u%04x", static_cast<unsigned>(byte));
+      out += esc;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
 
 std::string plan_response_digest(const PlanResponse& resp) {
   serialize::ByteWriter w;

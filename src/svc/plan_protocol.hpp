@@ -32,6 +32,11 @@ namespace cms::svc {
 bool parse_plan_request(const std::string& operands, PlanRequest& req,
                         std::string& error);
 
+/// `s` escaped for the body of a JSON string: '"', '\\', a newline as
+/// `\n` and every other byte below 0x20 as `\u00XX`. Request bytes echoed
+/// back in an error or scenario string then cannot break the JSON line.
+std::string json_escape(const std::string& s);
+
 /// Content digest of everything a successful response answers with: the
 /// full assignment (entry names/kinds/sets/partition ranges and the
 /// expected-miss doubles as exact bit patterns) plus the per-task

@@ -47,9 +47,8 @@ void merge_into(std::vector<std::uint32_t>& union_grid,
 /// The sweep single-flight key: everything the union-grid MissProfile
 /// depends on EXCEPT the grid itself. Capture digests already encode the
 /// workload + platform + jitter seed; runs, the L2 size and the uniform-
-/// plan buffer knobs shape the replay; curvature_eps and the solver are
-/// deliberately absent (they only shape the per-request solve, which is
-/// never shared).
+/// plan buffer knobs shape the replay; curvature_eps is deliberately
+/// absent (it only shapes the per-request solve, which is never shared).
 std::string sweep_key(const std::string& scenario,
                       std::vector<std::string> digests, std::uint32_t runs,
                       const core::ExperimentConfig& cfg) {
@@ -177,32 +176,35 @@ core::Experiment PlanningService::make_experiment(
 core::Experiment PlanningService::build_experiment(
     const PlanRequest& req, core::AppFactory factory,
     core::ExperimentConfig cfg) const {
-  if (!req.grid.empty()) {
-    if (req.grid.size() > kMaxGridPoints)
+  // The RESOLVED grid is checked, whether the request names it or the
+  // scenario supplies its default, so every sweep can coalesce.
+  if (!req.grid.empty()) cfg.profile_grid = req.grid;
+  const std::vector<std::uint32_t>& grid = cfg.profile_grid;
+  const std::string what = req.grid.empty()
+                               ? "scenario '" + req.scenario + "' grid"
+                               : std::string("plan request grid");
+  if (grid.size() > kMaxGridPoints)
+    throw std::invalid_argument(
+        what + " has " + std::to_string(grid.size()) +
+        " sizes, more than the limit of " + std::to_string(kMaxGridPoints));
+  for (const std::uint32_t sets : grid) {
+    if (sets == 0) throw std::invalid_argument(what + " contains size 0");
+    if (sets > kMaxGridSets)
       throw std::invalid_argument(
-          "plan request grid has " + std::to_string(req.grid.size()) +
-          " sizes, more than the limit of " + std::to_string(kMaxGridPoints));
-    for (const std::uint32_t sets : req.grid) {
-      if (sets == 0)
-        throw std::invalid_argument("plan request grid contains size 0");
-      if (sets > kMaxGridSets)
-        throw std::invalid_argument(
-            "plan request grid size " + std::to_string(sets) +
-            " exceeds the limit of " + std::to_string(kMaxGridSets) +
-            " sets");
-    }
-    // A duplicated size would Welford-accumulate the same (task, size)
-    // point twice — the resulting statistics depend on how often the size
-    // appears in the sweep, which both inflates run counts and breaks the
-    // union-sweep slicing bit-identity contract. There is no legitimate
-    // use for it, so reject it as a request error.
-    std::vector<std::uint32_t> dedup = req.grid;
-    std::sort(dedup.begin(), dedup.end());
-    if (std::adjacent_find(dedup.begin(), dedup.end()) != dedup.end())
-      throw std::invalid_argument(
-          "plan request grid contains duplicate sizes");
-    cfg.profile_grid = req.grid;
+          what + " size " + std::to_string(sets) + " exceeds the limit of " +
+          std::to_string(kMaxGridSets) + " sets");
   }
+  // A duplicated size would Welford-accumulate the same (task, size)
+  // point twice — the resulting statistics depend on how often the size
+  // appears in the sweep, which both inflates run counts and breaks the
+  // union-sweep slicing bit-identity contract. There is no legitimate
+  // use for it, so reject it as a request error.
+  std::vector<std::uint32_t> sorted = grid;
+  std::sort(sorted.begin(), sorted.end());
+  const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+  if (dup != sorted.end())
+    throw std::invalid_argument(what + " contains duplicate size " +
+                                std::to_string(*dup));
   if (req.runs) {
     if (*req.runs > kMaxProfileRuns)
       throw std::invalid_argument(
@@ -436,22 +438,18 @@ void PlanningService::run_request(const core::Experiment& exp,
   }
 
   // ---- SWEEP COALESCING (see the header's contract) ----
-  // Join a concurrent sweep over the same captures, or open one. A grid
-  // with duplicate sizes (only reachable via a scenario DEFAULT grid —
-  // make_experiment rejects explicit duplicates) is not sliceable, so
-  // it bypasses coalescing and keeps the legacy double-accumulation
-  // semantics verbatim.
+  // Join a concurrent sweep over the same captures, or open one. Every
+  // grid is sliceable: build_experiment rejects duplicate sizes.
   const std::vector<std::uint32_t>& my_grid = exp.config().profile_grid;
   const std::vector<std::uint32_t> my_sorted = sorted_unique(my_grid);
-  const bool coalescable = my_sorted.size() == my_grid.size();
   std::shared_ptr<SweepState> sweep;
   bool follower = false;
-  std::string skey;
-  if (coalescable) {
-    std::vector<std::string> digests;
-    digests.reserve(resp.captures.size());
-    for (const auto& prov : resp.captures) digests.push_back(prov.digest);
-    skey = sweep_key(scenario, std::move(digests), runs, exp.config());
+  std::vector<std::string> digests;
+  digests.reserve(resp.captures.size());
+  for (const auto& prov : resp.captures) digests.push_back(prov.digest);
+  const std::string skey =
+      sweep_key(scenario, std::move(digests), runs, exp.config());
+  {
     std::lock_guard<std::mutex> lk(sweeps_mu_);
     const auto it = sweeps_.find(skey);
     if (it != sweeps_.end()) {
@@ -524,45 +522,43 @@ void PlanningService::run_request(const core::Experiment& exp,
             exp, static_cast<std::uint32_t>(prov.jitter), prov.digest);
       resp.capture_ms = ms_since(tc);
 
-      if (sweep != nullptr) {
-        // Merge window: hold the sweep open so a concurrent burst folds
-        // completely — but ADAPT to the arrival rate. Burst peers may
-        // still sit in a front end's admission queue when the leader
-        // gets here, so some hold is always paid; once no one has
-        // joined for a quiet gap, though, the burst is over and holding
-        // the full window would be pure latency (the classic failure:
-        // a lone request paying the whole window for nobody). The gap
-        // is window/4 clamped to [1, 50] ms: joiners keep resetting it,
-        // so a steady trickle still merges until the full window —
-        // the worst-case hold — elapses.
-        if (cfg_.coalesce_window_ms > 0.0) {
-          const double gap =
-              std::clamp(cfg_.coalesce_window_ms / 4.0, 1.0, 50.0);
-          bool early = false;
-          for (;;) {
-            const double left =
-                cfg_.coalesce_window_ms - ms_since(sweep->opened);
-            if (left <= 0.0) break;
-            double quiet;
-            {
-              std::lock_guard<std::mutex> lk(sweeps_mu_);
-              quiet = ms_since(sweep->last_join);
-            }
-            if (quiet >= gap) {
-              early = true;
-              break;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(std::clamp(
-                    std::min(left, gap - quiet), 0.1, 5.0)));
+      // Merge window: hold the sweep open so a concurrent burst folds
+      // completely — but ADAPT to the arrival rate. Burst peers may
+      // still sit in a front end's admission queue when the leader
+      // gets here, so some hold is always paid; once no one has
+      // joined for a quiet gap, though, the burst is over and holding
+      // the full window would be pure latency (the classic failure:
+      // a lone request paying the whole window for nobody). The gap
+      // is window/4 clamped to [1, 50] ms: joiners keep resetting it,
+      // so a steady trickle still merges until the full window —
+      // the worst-case hold — elapses.
+      if (cfg_.coalesce_window_ms > 0.0) {
+        const double gap =
+            std::clamp(cfg_.coalesce_window_ms / 4.0, 1.0, 50.0);
+        bool early = false;
+        for (;;) {
+          const double left =
+              cfg_.coalesce_window_ms - ms_since(sweep->opened);
+          if (left <= 0.0) break;
+          double quiet;
+          {
+            std::lock_guard<std::mutex> lk(sweeps_mu_);
+            quiet = ms_since(sweep->last_join);
           }
-          if (early)
-            sweeps_sealed_early_.fetch_add(1, std::memory_order_relaxed);
+          if (quiet >= gap) {
+            early = true;
+            break;
+          }
+          std::this_thread::sleep_for(
+              std::chrono::duration<double, std::milli>(
+                  std::clamp(std::min(left, gap - quiet), 0.1, 5.0)));
         }
-        if (cfg_.sweep_sealing) cfg_.sweep_sealing();
+        if (early)
+          sweeps_sealed_early_.fetch_add(1, std::memory_order_relaxed);
       }
-      std::vector<std::uint32_t> union_grid = my_sorted;
-      if (sweep != nullptr) {
+      if (cfg_.sweep_sealing) cfg_.sweep_sealing();
+      std::vector<std::uint32_t> union_grid;
+      {
         std::lock_guard<std::mutex> lk(sweeps_mu_);
         sweep->sealed = true;
         union_grid = sweep->grid;
@@ -577,7 +573,7 @@ void PlanningService::run_request(const core::Experiment& exp,
       if (cfg_.sweep_started) cfg_.sweep_started(scenario, union_grid);
       const auto tp = Clock::now();
       auto out = std::make_shared<SweepOutcome>();
-      if (sweep == nullptr || union_grid == my_grid) {
+      if (union_grid == my_grid) {
         out->profile = exp.profile();
       } else {
         core::ExperimentConfig ucfg = exp.config();
@@ -587,44 +583,34 @@ void PlanningService::run_request(const core::Experiment& exp,
       }
       resp.profile_ms = ms_since(tp);
       resp.sweep = SweepRole::kLeader;
-      resp.union_points = static_cast<std::uint32_t>(
-          sweep == nullptr ? my_grid.size() : union_grid.size());
-      // The non-coalescable path keeps the full profile verbatim
-      // (duplicate sizes and all); a coalescing leader slices its own
-      // columns exactly like its followers do.
-      prof = sweep == nullptr ? std::move(out->profile)
-                              : slice_profile(out->profile, my_sorted);
+      resp.union_points = static_cast<std::uint32_t>(union_grid.size());
+      // The leader slices its own columns exactly like its followers do.
+      prof = slice_profile(out->profile, my_sorted);
 
-      if (sweep != nullptr) {
-        out->grid = std::move(union_grid);
-        out->capture_ms = resp.capture_ms;
-        out->profile_ms = resp.profile_ms;
-        // Retire the sweep BEFORE publishing: once the table entry is
-        // gone no one can join anymore, so sum_points read in the same
-        // critical section is final and the saved-points accounting is
-        // exact. Erase by identity — a stale sealed entry may have been
-        // replaced by a newer leader's.
-        std::uint64_t saved = 0;
-        {
-          std::lock_guard<std::mutex> lk(sweeps_mu_);
-          saved = sweep->sum_points - out->grid.size();
-          const auto sit = sweeps_.find(skey);
-          if (sit != sweeps_.end() && sit->second == sweep)
-            sweeps_.erase(sit);
-        }
-        union_points_saved_.fetch_add(saved, std::memory_order_relaxed);
-        sweep->promise.set_value(std::move(out));
+      out->grid = std::move(union_grid);
+      out->capture_ms = resp.capture_ms;
+      out->profile_ms = resp.profile_ms;
+      // Retire the sweep BEFORE publishing: once the table entry is
+      // gone no one can join anymore, so sum_points read in the same
+      // critical section is final and the saved-points accounting is
+      // exact. Erase by identity — a stale sealed entry may have been
+      // replaced by a newer leader's.
+      std::uint64_t saved = 0;
+      {
+        std::lock_guard<std::mutex> lk(sweeps_mu_);
+        saved = sweep->sum_points - out->grid.size();
+        const auto sit = sweeps_.find(skey);
+        if (sit != sweeps_.end() && sit->second == sweep) sweeps_.erase(sit);
       }
+      union_points_saved_.fetch_add(saved, std::memory_order_relaxed);
+      sweep->promise.set_value(std::move(out));
     } catch (...) {
-      if (sweep != nullptr) {
-        {
-          std::lock_guard<std::mutex> lk(sweeps_mu_);
-          const auto sit = sweeps_.find(skey);
-          if (sit != sweeps_.end() && sit->second == sweep)
-            sweeps_.erase(sit);
-        }
-        sweep->promise.set_exception(std::current_exception());
+      {
+        std::lock_guard<std::mutex> lk(sweeps_mu_);
+        const auto sit = sweeps_.find(skey);
+        if (sit != sweeps_.end() && sit->second == sweep) sweeps_.erase(sit);
       }
+      sweep->promise.set_exception(std::current_exception());
       throw;
     }
   }

@@ -118,8 +118,8 @@ inline constexpr std::uint32_t kMaxProfileRuns = 16;
 struct PlanRequest {
   std::string scenario;  // name in core::scenarios()
   /// Profiling grid (candidate partition sizes, in sets); empty keeps the
-  /// scenario's grid. At most kMaxGridPoints entries, each in
-  /// [1, kMaxGridSets].
+  /// scenario's grid. Whichever grid resolves must hold at most
+  /// kMaxGridPoints distinct entries, each in [1, kMaxGridSets].
   std::vector<std::uint32_t> grid;
   /// Number of jitter seeds to profile (seeds 0..runs-1); one capture per
   /// seed. At most kMaxProfileRuns.
@@ -354,9 +354,10 @@ class PlanningService {
   struct SweepState;
 
   core::Experiment make_experiment(const PlanRequest& req) const;
-  /// Apply the request's validated overrides to `cfg`, force the
-  /// service's store / replay profiler / jobs, and build the
-  /// Experiment (shared by the whole-scenario and per-phase paths).
+  /// Apply the request's validated overrides to `cfg`, validate the
+  /// resolved grid, force the service's store / replay profiler / jobs,
+  /// and build the Experiment (shared by the whole-scenario and
+  /// per-phase paths).
   core::Experiment build_experiment(const PlanRequest& req,
                                     core::AppFactory factory,
                                     core::ExperimentConfig cfg) const;

@@ -109,11 +109,11 @@ TEST(ParsePlanCacheBudgets, ParseAsPlainDecimalU64) {
   std::vector<const char*> args{"p", "--plan-cache-budget-bytes=4096",
                                 "--plan-cache-budget-entries", "8"};
   char** argv = const_cast<char**>(args.data());
-  EXPECT_EQ(parse_plan_cache_budget_bytes(4, argv), 4096u);
-  EXPECT_EQ(parse_plan_cache_budget_entries(4, argv), 8u);
+  EXPECT_EQ(parse_u64_flag(4, argv, "--plan-cache-budget-bytes"), 4096u);
+  EXPECT_EQ(parse_u64_flag(4, argv, "--plan-cache-budget-entries"), 8u);
   std::vector<const char*> bad{"p", "--plan-cache-budget-bytes=64k"};
-  EXPECT_EQ(parse_plan_cache_budget_bytes(
-                2, const_cast<char**>(bad.data()), 7),
+  EXPECT_EQ(parse_u64_flag(2, const_cast<char**>(bad.data()),
+                           "--plan-cache-budget-bytes", 7),
             7u);
 }
 

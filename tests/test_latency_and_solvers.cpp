@@ -1,5 +1,5 @@
-// Exact latency arithmetic of the hierarchy and cross-solver consistency
-// of the partition planner.
+// Exact latency arithmetic of the hierarchy and partition-table
+// translation (the MCKP solvers are cross-checked in test_mckp).
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
@@ -53,54 +53,6 @@ TEST(LatencyMath, SameBankBackToBackSerializes) {
   const auto r1 = h.access(0, 0, a, 4, AccessType::kRead, 0);
   const auto r2 = h.access(1, 1, b, 4, AccessType::kRead, 0);
   EXPECT_GE(r2.finish, r1.finish + cfg.dram.bank_occupancy);
-}
-
-// All three MCKP solvers plugged into the *planner* must agree on the
-// optimum cost for real measured profiles (greedy may differ, but DP and
-// B&B must match exactly).
-TEST(PlannerSolvers, DpAndBranchBoundAgreeOnRealProfiles) {
-  core::ExperimentConfig cfg;
-  cfg.platform.hier.l2.size_bytes = 32 * 1024;
-  cfg.profile_grid = {1, 2, 4, 8, 16};
-  cfg.profile_runs = 1;
-  core::Experiment exp(
-      [] { return apps::make_m2v_app(apps::AppConfig::tiny(21)); }, cfg);
-  const opt::MissProfile prof = exp.profile();
-
-  opt::PlannerConfig dp_cfg;
-  dp_cfg.solver = opt::TaskSolver::kDp;
-  opt::PlannerConfig bb_cfg;
-  bb_cfg.solver = opt::TaskSolver::kBranchBound;
-  opt::PlannerConfig gr_cfg;
-  gr_cfg.solver = opt::TaskSolver::kGreedy;
-
-  const auto dp = opt::plan_partitions(prof, exp.tasks(), exp.buffers(),
-                                       cfg.platform.hier.l2, dp_cfg);
-  const auto bb = opt::plan_partitions(prof, exp.tasks(), exp.buffers(),
-                                       cfg.platform.hier.l2, bb_cfg);
-  const auto gr = opt::plan_partitions(prof, exp.tasks(), exp.buffers(),
-                                       cfg.platform.hier.l2, gr_cfg);
-  ASSERT_TRUE(dp.feasible);
-  ASSERT_TRUE(bb.feasible);
-  ASSERT_TRUE(gr.feasible);
-  EXPECT_NEAR(dp.expected_task_misses, bb.expected_task_misses, 1e-6);
-  EXPECT_GE(gr.expected_task_misses + 1e-6, dp.expected_task_misses);
-}
-
-TEST(PlannerSolvers, GreedyPlanStillRunsCorrectly) {
-  core::ExperimentConfig cfg;
-  cfg.platform.hier.l2.size_bytes = 32 * 1024;
-  cfg.profile_grid = {1, 4, 16};
-  cfg.profile_runs = 1;
-  cfg.planner.solver = opt::TaskSolver::kGreedy;
-  core::Experiment exp(
-      [] { return apps::make_jpeg_canny_app(apps::AppConfig::tiny(22)); }, cfg);
-  const auto prof = exp.profile();
-  const auto plan = exp.plan(prof);
-  ASSERT_TRUE(plan.feasible);
-  const core::RunOutput out = exp.run_partitioned(plan);
-  EXPECT_TRUE(out.verified);
-  EXPECT_FALSE(out.results.deadlocked);
 }
 
 // Translation fuzz: for random partition tables, translated indices always

@@ -784,7 +784,28 @@ TEST(PlanService, DuplicateGridSizesAreRejectedAsRequestErrors) {
   req.grid = {4, 2, 4};
   const PlanResponse resp = service.plan(req);
   EXPECT_FALSE(resp.ok);
-  EXPECT_NE(resp.error.find("duplicate"), std::string::npos) << resp.error;
+  EXPECT_NE(resp.error.find("duplicate size 4"), std::string::npos)
+      << resp.error;
+
+  // A scenario's DEFAULT grid gets the same checks as a request's.
+  static std::once_flag once;
+  std::call_once(once, [] {
+    core::ScenarioSpec spec = core::scenarios().get("mpeg2-tiny");
+    spec.name = "svc-dup-grid";
+    spec.description = "mpeg2-tiny whose default grid repeats a size";
+    spec.experiment.trace_key += "/dup-grid";
+    spec.experiment.profile_grid = {1, 8, 2, 8};
+    core::scenarios().add(std::move(spec));
+  });
+  PlanRequest dflt;
+  dflt.scenario = "svc-dup-grid";
+  const PlanResponse dup = service.plan(dflt);
+  EXPECT_FALSE(dup.ok);
+  EXPECT_NE(dup.error.find("scenario 'svc-dup-grid' grid contains duplicate "
+                           "size 8"),
+            std::string::npos)
+      << dup.error;
+  EXPECT_EQ(dup.captures.size(), 0u);  // refused before any capture
 }
 
 /// Builds of the "svc-counting" scenario's application (mpeg2-tiny
@@ -1023,6 +1044,20 @@ TEST(PlanProtocol, ParsesAdmissionDeadline) {
     EXPECT_NE(err.find("deadline_ms"), std::string::npos)
         << bad << ": " << err;
   }
+}
+
+TEST(PlanProtocol, JsonEscapeLeavesNoRawControlBytes) {
+  // plan_server echoes request bytes inside its JSON error and scenario
+  // strings; a raw control byte there makes the whole line invalid JSON.
+  EXPECT_EQ(json_escape("plan no\x02such"), "plan no\\u0002such");
+  EXPECT_EQ(json_escape("runs=\x01x\t\r\x1f"),
+            "runs=\\u0001x\\u0009\\u000d\\u001f");
+  EXPECT_EQ(json_escape("a\"b\\c\nd\x7f\xc3\xa9"),
+            "a\\\"b\\\\c\\nd\x7f\xc3\xa9");
+  std::string every;
+  for (int c = 1; c < 0x20; ++c) every += static_cast<char>(c);
+  for (const char c : json_escape(every))
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
 }
 
 TEST(PlanProtocol, ResponseDigestSeparatesAnswersBitForBit) {

@@ -132,7 +132,7 @@ TEST(Planner, ApplyInstallsPartitionsAndEnables) {
 TEST(Planner, ConsumesDenseGridsAndPruningIsExact) {
   // A 64-point profile per client, shaped like a replay sweep: long flat
   // stretches with a knee. The planner must consume it directly, and
-  // dominance pruning must not change the MCKP optimum.
+  // pruning must keep both knees (MckpPrune checks the optimum is exact).
   MissProfile prof;
   for (const std::string task : {"t0", "t1"}) {
     const std::uint32_t knee = task == "t0" ? 24 : 40;
@@ -142,23 +142,14 @@ TEST(Planner, ConsumesDenseGridsAndPruningIsExact) {
       prof.add_sample(task, s, misses, misses * 10, 1000);
     }
   }
-  PlannerConfig pruned_cfg;
-  ASSERT_TRUE(pruned_cfg.prune_dominated);
-  PlannerConfig unpruned_cfg;
-  unpruned_cfg.prune_dominated = false;
-
   const auto tasks =
       std::vector<std::pair<TaskId, std::string>>{{0, "t0"}, {1, "t1"}};
-  const auto pruned =
-      plan_partitions(prof, tasks, sample_buffers(), l2_256sets(), pruned_cfg);
-  const auto unpruned = plan_partitions(prof, tasks, sample_buffers(),
-                                        l2_256sets(), unpruned_cfg);
-  ASSERT_TRUE(pruned.feasible);
-  ASSERT_TRUE(unpruned.feasible);
-  EXPECT_DOUBLE_EQ(pruned.expected_task_misses, unpruned.expected_task_misses);
+  const auto plan =
+      plan_partitions(prof, tasks, sample_buffers(), l2_256sets(), {});
+  ASSERT_TRUE(plan.feasible);
   // Both knees are worth taking within 256 sets (24 + 40 + buffers fit).
-  EXPECT_EQ(pruned.find("t0")->sets, 24u);
-  EXPECT_EQ(pruned.find("t1")->sets, 40u);
+  EXPECT_EQ(plan.find("t0")->sets, 24u);
+  EXPECT_EQ(plan.find("t1")->sets, 40u);
 }
 
 TEST(Planner, UniformPlanGivesEveryTaskSameSets) {
