@@ -90,11 +90,10 @@ void run_app(const char* title, const core::AppFactory& factory,
 
 int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv);
-  const core::ProfilerMode profiler = bench::parse_profiler(argc, argv);
   const auto store = bench::parse_trace_store(argc, argv);
   run_app("Ablation E1: task-to-processor assignment — 2 jpegs & canny",
-          bench::app1_factory(), bench::app1_experiment(jobs, profiler, store));
+          bench::app1_factory(), bench::app1_experiment(jobs, store));
   run_app("Ablation E2: task-to-processor assignment — mpeg2",
-          bench::app2_factory(), bench::app2_experiment(jobs, profiler, store));
+          bench::app2_factory(), bench::app2_experiment(jobs, store));
   return 0;
 }

@@ -32,9 +32,8 @@ int main(int argc, char** argv) {
   print_banner("Ablation B: buffer allocation policy (mpeg2)");
 
   const auto factory = bench::app2_factory();
-  const auto base = bench::app2_experiment(bench::parse_jobs(argc, argv),
-                                           bench::parse_profiler(argc, argv),
-                                          bench::parse_trace_store(argc, argv));
+  const auto base = bench::app2_experiment(
+      bench::parse_jobs(argc, argv), bench::parse_trace_store(argc, argv));
   core::Experiment probe(factory, base);
   const auto buffers = probe.buffers();
   const opt::MissProfile prof = probe.profile();

@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
 
   const auto factory = bench::app1_factory();
   const auto cfg = bench::app1_experiment(bench::parse_jobs(argc, argv),
-                                          bench::parse_profiler(argc, argv),
                                           bench::parse_trace_store(argc, argv));
   core::Experiment exp(factory, cfg);
   const opt::MissProfile prof = exp.profile();

@@ -150,7 +150,6 @@ int main(int argc, char** argv) {
     core::ExperimentConfig cfg = spec.experiment;
     cfg.trace_key = ph.trace_key;
     cfg.jobs = bench::parse_jobs(argc, argv);
-    cfg.profiler = bench::parse_profiler(argc, argv);
     cfg.trace_store = bench::parse_trace_store(argc, argv);
     core::Experiment exp(ph.factory, cfg);
     const opt::MissProfile prof = exp.profile();

@@ -1,11 +1,11 @@
 // Shared configuration of the benchmark harnesses that regenerate the
 // paper's tables and figures.
 //
-// Scaling note (see DESIGN.md and EXPERIMENTS.md): the paper evaluates on
-// a 512 KB L2 with production-sized content (their MPEG2 footprint sits
-// between 512 KB and 1 MB — doubling the shared L2 to 1 MB nearly matched
-// the partitioned 512 KB). We use QCIF-class synthetic content, so the L2
-// is scaled to keep the footprint/capacity ratio in the same regime:
+// Scaling note: the paper evaluates on a 512 KB L2 with production-sized
+// content (their MPEG2 footprint sits between 512 KB and 1 MB — doubling
+// the shared L2 to 1 MB nearly matched the partitioned 512 KB). We use
+// QCIF-class synthetic content, so the L2 is scaled to keep the
+// footprint/capacity ratio in the same regime:
 //  * application 1 (2x JPEG + Canny): QCIF content, 96 KB 4-way L2;
 //  * application 2 (MPEG2): 128x96 content, 10 frames, 64 KB 4-way L2.
 // Trends and ratios — who wins, by what factor, where the crossovers are —
@@ -23,14 +23,12 @@
 namespace cms::bench {
 
 // Campaign flags shared with the examples; results are bit-identical for
-// any --jobs value, either --profiler mode (trace replay reproduces
-// the full-simulation sweep exactly) and with or without a --trace-dir
-// store (store hits load the same captures a live run would record), so
-// benches default to serial full simulation for undisturbed timing and
-// let the flags speed things up on demand.
+// any --jobs value and with or without a --trace-dir store (store hits
+// load the same captures a live run would record), so benches default to
+// one serial worker for undisturbed timing and let the flags speed things
+// up on demand.
 using core::has_flag;
 using core::parse_jobs;
-using core::parse_profiler;
 using core::parse_store_l2;
 using core::parse_store_l2_target;
 using core::parse_string_flag;
@@ -74,32 +72,25 @@ inline core::AppFactory app2_factory() {
 }
 
 /// `jobs` = campaign workers used by Experiment::profile (see parse_jobs);
-/// `profiler` = full simulation vs trace replay (see parse_profiler);
 /// `store` = persistent capture store (see parse_trace_store). The
 /// trace_key is always set, so attaching a store later also works.
 inline core::ExperimentConfig app1_experiment(
-    unsigned jobs = 1,
-    core::ProfilerMode profiler = core::ProfilerMode::kFullSim,
-    std::shared_ptr<opt::TraceStore> store = nullptr) {
+    unsigned jobs = 1, std::shared_ptr<opt::TraceStore> store = nullptr) {
   core::ExperimentConfig cfg;
   cfg.platform.hier.l2.size_bytes = 96 * 1024;
   cfg.profile_runs = 2;
   cfg.jobs = jobs;
-  cfg.profiler = profiler;
   cfg.trace_store = std::move(store);
   cfg.trace_key = core::app_trace_key("bench-app1", app1_content());
   return cfg;
 }
 
 inline core::ExperimentConfig app2_experiment(
-    unsigned jobs = 1,
-    core::ProfilerMode profiler = core::ProfilerMode::kFullSim,
-    std::shared_ptr<opt::TraceStore> store = nullptr) {
+    unsigned jobs = 1, std::shared_ptr<opt::TraceStore> store = nullptr) {
   core::ExperimentConfig cfg;
   cfg.platform.hier.l2.size_bytes = 64 * 1024;
   cfg.profile_runs = 2;
   cfg.jobs = jobs;
-  cfg.profiler = profiler;
   cfg.trace_store = std::move(store);
   cfg.trace_key = core::app_trace_key("bench-app2", app2_content());
   return cfg;

@@ -102,15 +102,14 @@ bool run_app(const char* title, const core::AppFactory& factory,
 
 int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv);
-  const core::ProfilerMode prof = bench::parse_profiler(argc, argv);
   const auto store = bench::parse_trace_store(argc, argv);
   const bool app1 = run_app(
       "Figure 2a: 2 jpegs & canny — shared vs best partitioned cache",
-      bench::app1_factory(), bench::app1_experiment(jobs, prof, store),
+      bench::app1_factory(), bench::app1_experiment(jobs, store),
       "5x fewer misses, 9.46% -> 2.21%, CPI 1.4 -> 1.1 (-20%)");
   const bool app2 = run_app(
       "Figure 2b: mpeg2 — shared vs best partitioned cache",
-      bench::app2_factory(), bench::app2_experiment(jobs, prof, store),
+      bench::app2_factory(), bench::app2_experiment(jobs, store),
       "6.5x fewer misses, 5.1% -> 0.8%, CPI 1.7-1.8 -> 1.6-1.7 (-4%)");
   return app1 && app2 ? 0 : 1;
 }

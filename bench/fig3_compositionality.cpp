@@ -61,13 +61,12 @@ bool run_app(const char* title, const core::AppFactory& factory,
 
 int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv);
-  const core::ProfilerMode prof = bench::parse_profiler(argc, argv);
   const auto store = bench::parse_trace_store(argc, argv);
   const bool app1 = run_app(
       "Figure 3a: expected vs simulated misses — 2 jpegs & canny",
-      bench::app1_factory(), bench::app1_experiment(jobs, prof, store));
+      bench::app1_factory(), bench::app1_experiment(jobs, store));
   const bool app2 =
       run_app("Figure 3b: expected vs simulated misses — mpeg2",
-              bench::app2_factory(), bench::app2_experiment(jobs, prof, store));
+              bench::app2_factory(), bench::app2_experiment(jobs, store));
   return app1 && app2 ? 0 : 1;
 }

@@ -1,8 +1,11 @@
 // Campaign scaling microbenchmark (acceptance check for the parallel
-// runner): Experiment::profile() on the JPEG workload, executed with an
-// increasing number of campaign workers. Verifies that every parallel
-// MissProfile is bit-identical to the serial one and reports per-jobs
-// wall-clock timings as JSON, e.g.
+// runner): Experiment::profile_reference() on the JPEG workload, executed
+// with an increasing number of campaign workers. The reference sweep is
+// the full-simulation oracle of profile() — one simulation per grid point
+// and jitter run — so it gives the Campaign many independent simulations
+// to schedule, where profile() would give it only the captures. Verifies
+// that every parallel MissProfile is bit-identical to the serial one and
+// reports per-jobs wall-clock timings as JSON, e.g.
 //
 //   ./micro_campaign --jobs 4
 //   {"bench": "micro_campaign", ..., "runs": [{"jobs": 1, "ms": ...}, ...],
@@ -22,7 +25,7 @@ namespace {
 
 double profile_ms(const core::Experiment& exp, opt::MissProfile& out) {
   const auto t0 = std::chrono::steady_clock::now();
-  out = exp.profile();
+  out = exp.profile_reference();
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();

@@ -116,8 +116,8 @@ int main(int argc, char** argv) {
     const svc::PlanResponse warm = warm_service.plan(req);
 
     // Reference: a direct store-served Experiment plan, same spec.
-    const core::Experiment direct = core::scenarios().make_experiment(
-        names[s], jobs, core::ProfilerMode::kTraceReplay, open_store());
+    const core::Experiment direct =
+        core::scenarios().make_experiment(names[s], jobs, open_store());
     const opt::PartitionPlan direct_plan = direct.plan(direct.profile());
 
     // Concurrent phase: `clients` threads re-request the warm scenario.

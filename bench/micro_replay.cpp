@@ -1,9 +1,10 @@
 // Replay-identity microbenchmark (acceptance check for the trace-capture
-// profiler): for every built-in scenario, profile with ProfilerMode::
-// kFullSim and kTraceReplay and verify the two MissProfiles are
-// bit-identical; report wall-clock, the engine-run reduction (replay
-// executes profile_runs simulations instead of grid x runs), and the
-// active-cycle reconstruction error against fully-timed isolation runs.
+// profiler): for every built-in scenario, profile with the full-simulation
+// oracle (Experiment::profile_reference) and with profile() (capture +
+// replay) and verify the two MissProfiles are bit-identical; report
+// wall-clock, the engine-run reduction (replay executes profile_runs
+// simulations instead of grid x runs), and the active-cycle
+// reconstruction error against fully-timed isolation runs.
 // Exits nonzero on any profile mismatch, or when a scenario's mean t_i
 // reconstruction error exceeds kMaxMeanReconError.
 //
@@ -108,8 +109,8 @@ bool compare_kernels(unsigned jobs,
       "{\"bench\": \"micro_replay\", \"mode\": \"compare-kernels\", "
       "\"scenarios\": [");
   for (std::size_t s = 0; s < names.size(); ++s) {
-    const core::Experiment exp = core::scenarios().make_experiment(
-        names[s], jobs, core::ProfilerMode::kTraceReplay, store);
+    const core::Experiment exp =
+        core::scenarios().make_experiment(names[s], jobs, store);
     const auto& cfg = exp.config();
     const Cycle surcharge = opt::miss_surcharge(cfg.platform.hier);
     const mem::CacheConfig& l2 = cfg.platform.hier.l2;
@@ -149,8 +150,7 @@ bool compare_kernels(unsigned jobs,
     // whole capture/replay machinery avoids).
     {
       opt::MissProfile full;
-      const double ms = wall_ms(
-          [&] { full = exp.profile_with(core::ProfilerMode::kFullSim); });
+      const double ms = wall_ms([&] { full = exp.profile_reference(); });
       const bool identical = ref.identical(full);
       all_identical = all_identical && identical;
       std::printf("{\"engine\": \"fullsim\", \"ms\": %.1f, "
@@ -212,17 +212,15 @@ int main(int argc, char** argv) {
 
   std::printf("{\"bench\": \"micro_replay\", \"scenarios\": [");
   for (std::size_t s = 0; s < names.size(); ++s) {
-    const core::Experiment exp = core::scenarios().make_experiment(
-        names[s], jobs, std::nullopt, store);
+    const core::Experiment exp =
+        core::scenarios().make_experiment(names[s], jobs, store);
     const auto& cfg = exp.config();
     const std::size_t runs = std::max(1u, cfg.profile_runs);
     const std::size_t full_runs = cfg.profile_grid.size() * runs;
 
     opt::MissProfile full, replay;
-    const double full_ms =
-        wall_ms([&] { full = exp.profile_with(core::ProfilerMode::kFullSim); });
-    const double replay_ms = wall_ms(
-        [&] { replay = exp.profile_with(core::ProfilerMode::kTraceReplay); });
+    const double full_ms = wall_ms([&] { full = exp.profile_reference(); });
+    const double replay_ms = wall_ms([&] { replay = exp.profile(); });
     const bool identical = full.identical(replay);
     all_identical = all_identical && identical;
 

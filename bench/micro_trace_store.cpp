@@ -3,7 +3,7 @@
 // trace replay three ways — in-memory captures, a COLD store pass
 // (capture + write-back), and a WARM pass through a fresh store instance
 // (every capture loaded from disk) — and verify all profiles are
-// bit-identical to each other and (non---quick) to ProfilerMode::kFullSim.
+// bit-identical to each other and (non---quick) to profile_reference().
 // Reports wall-clock per pass, store hit/miss/write counts and on-disk
 // bytes per scenario. Exits nonzero on any profile mismatch, on a warm
 // pass that missed the store, or — with --expect-hits — on a cold pass
@@ -173,16 +173,15 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < names.size(); ++s) {
     // Reference: trace replay with in-memory captures only.
     opt::MissProfile reference;
-    const core::Experiment exp_mem = core::scenarios().make_experiment(
-        names[s], jobs, core::ProfilerMode::kTraceReplay);
+    const core::Experiment exp_mem =
+        core::scenarios().make_experiment(names[s], jobs);
     const double mem_ms = wall_ms([&] { reference = exp_mem.profile(); });
 
     double fullsim_ms = 0.0;
     bool identical = true;
     if (check_fullsim) {
       opt::MissProfile full;
-      fullsim_ms = wall_ms(
-          [&] { full = exp_mem.profile_with(core::ProfilerMode::kFullSim); });
+      fullsim_ms = wall_ms([&] { full = exp_mem.profile_reference(); });
       identical = reference.identical(full);
     }
 
@@ -192,8 +191,8 @@ int main(int argc, char** argv) {
     const auto cold_store = core::open_trace_store(dir, mode, l2_target, l2);
     const std::uintmax_t bytes_before = dir_bytes(dir);
     opt::MissProfile cold;
-    const core::Experiment exp_cold = core::scenarios().make_experiment(
-        names[s], jobs, core::ProfilerMode::kTraceReplay, cold_store);
+    const core::Experiment exp_cold =
+        core::scenarios().make_experiment(names[s], jobs, cold_store);
     const double cold_ms = wall_ms([&] { cold = exp_cold.profile(); });
     const opt::TraceStore::Stats cold_stats = cold_store->stats();
     absorb_tiers(cold_stats);
@@ -204,8 +203,8 @@ int main(int argc, char** argv) {
     // capture must come off disk (the L1 alone can serve it).
     const auto warm_store = core::open_trace_store(dir, mode, l2_target, l2);
     opt::MissProfile warm;
-    const core::Experiment exp_warm = core::scenarios().make_experiment(
-        names[s], jobs, core::ProfilerMode::kTraceReplay, warm_store);
+    const core::Experiment exp_warm =
+        core::scenarios().make_experiment(names[s], jobs, warm_store);
     const double warm_ms = wall_ms([&] { warm = exp_warm.profile(); });
     const opt::TraceStore::Stats warm_stats = warm_store->stats();
     absorb_tiers(warm_stats);
@@ -219,8 +218,8 @@ int main(int argc, char** argv) {
       const auto l2only_store =
           core::open_trace_store(l2only_dir, mode, l2_target, l2);
       opt::MissProfile l2only;
-      const core::Experiment exp_l2only = core::scenarios().make_experiment(
-          names[s], jobs, core::ProfilerMode::kTraceReplay, l2only_store);
+      const core::Experiment exp_l2only =
+          core::scenarios().make_experiment(names[s], jobs, l2only_store);
       l2only_ms = wall_ms([&] { l2only = exp_l2only.profile(); });
       l2only_stats = l2only_store->stats();
       absorb_tiers(l2only_stats);

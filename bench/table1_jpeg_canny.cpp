@@ -16,9 +16,9 @@ int main(int argc, char** argv) {
   print_banner("Table 1: L2 allocated sets for 2 jpegs & canny");
 
   core::Experiment exp(bench::app1_factory(),
-                       bench::app1_experiment(bench::parse_jobs(argc, argv),
-                                              bench::parse_profiler(argc, argv),
-                                          bench::parse_trace_store(argc, argv)));
+                       bench::app1_experiment(
+                           bench::parse_jobs(argc, argv),
+                           bench::parse_trace_store(argc, argv)));
   std::printf("profiling task miss curves (grid of %zu sizes, %u runs each)...\n",
               exp.config().profile_grid.size(), exp.config().profile_runs);
   const opt::MissProfile prof = exp.profile();

@@ -11,9 +11,9 @@ int main(int argc, char** argv) {
   print_banner("Table 2: L2 allocated sets to tasks for mpeg2");
 
   core::Experiment exp(bench::app2_factory(),
-                       bench::app2_experiment(bench::parse_jobs(argc, argv),
-                                              bench::parse_profiler(argc, argv),
-                                          bench::parse_trace_store(argc, argv)));
+                       bench::app2_experiment(
+                           bench::parse_jobs(argc, argv),
+                           bench::parse_trace_store(argc, argv)));
   std::printf("profiling task miss curves (grid of %zu sizes, %u runs each)...\n",
               exp.config().profile_grid.size(), exp.config().profile_runs);
   const opt::MissProfile prof = exp.profile();

@@ -157,7 +157,6 @@ int main(int argc, char** argv) {
   cfg.profile_grid = {1, 2, 4, 8, 16, 32, 64};
   cfg.profile_runs = 2;
   cfg.jobs = jobs;
-  cfg.profiler = core::parse_profiler(argc, argv);
   // Custom apps opt into the persistent trace store by naming their
   // content: any change to the pipeline below must change this key.
   cfg.trace_store = core::open_trace_store(core::parse_trace_dir(argc, argv),

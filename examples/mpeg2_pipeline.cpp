@@ -23,12 +23,10 @@ int main(int argc, char** argv) {
   core::ScenarioSpec spec = core::scenarios().get("mpeg2");
   spec.experiment.profile_runs = 1;
   spec.experiment.jobs = jobs;
-  // --profiler=replay profiles from one captured trace per jitter run
-  // instead of one simulation per grid point — same numbers, ~grid x
-  // faster. Add --trace-dir=DIR to persist the captures: the next run of
-  // this example (or any tool profiling the same scenario) loads them off
-  // disk and skips the instrumented simulations entirely.
-  spec.experiment.profiler = core::parse_profiler(argc, argv);
+  // Profiling captures one trace per jitter run and replays it at every
+  // grid point. Add --trace-dir=DIR to persist the captures: the next run
+  // of this example (or any tool profiling the same scenario) loads them
+  // off disk and skips the instrumented simulations entirely.
   spec.experiment.trace_store = core::open_trace_store(
       core::parse_trace_dir(argc, argv), core::parse_trace_mode(argc, argv));
   core::Experiment exp(spec.factory, spec.experiment);
@@ -36,11 +34,8 @@ int main(int argc, char** argv) {
   std::printf("scenario: %s — %s\n", spec.name.c_str(),
               spec.description.c_str());
   std::printf("1) profiling per-task miss curves in isolation (%u worker%s, "
-              "%s profiler)...\n",
-              jobs, jobs == 1 ? "" : "s",
-              spec.experiment.profiler == core::ProfilerMode::kTraceReplay
-                  ? "trace-replay"
-                  : "full-simulation");
+              "capture + replay)...\n",
+              jobs, jobs == 1 ? "" : "s");
   const opt::MissProfile prof = exp.profile();
 
   std::printf("2) planning the partition ratio (buffers first, MCKP for "

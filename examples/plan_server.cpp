@@ -75,7 +75,6 @@
 //   SIGTERM/SIGINT drain gracefully: stop accepting + reading, finish
 //   every admitted request, flush every byte, then exit 0.
 #include <csignal>
-#include <cstdarg>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -91,97 +90,11 @@
 #include "svc/planning_service.hpp"
 
 using namespace cms;
+using svc::error_json;
+using svc::format;
 using svc::json_escape;
 
 namespace {
-
-/// printf into a std::string (every responder below builds a line; the
-/// stdin loop prints it, the socket server buffers it per connection).
-std::string format(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list copy;
-  va_copy(copy, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, copy);
-  va_end(copy);
-  std::string out(n > 0 ? static_cast<std::size_t>(n) : 0, '\0');
-  if (n > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, args);
-  va_end(args);
-  return out;
-}
-
-std::string error_json(const std::string& message) {
-  return format("{\"ok\": false, \"error\": \"%s\"}",
-                json_escape(message).c_str());
-}
-
-std::string response_json(const svc::PlanResponse& resp) {
-  // Per-phase entries of a phased response carry their phase name.
-  const std::string phase_field =
-      resp.phase.empty()
-          ? std::string()
-          : format(", \"phase\": \"%s\"", json_escape(resp.phase).c_str());
-  if (!resp.ok && resp.phases.empty())
-    return format("{\"ok\": false, \"scenario\": \"%s\"%s, \"error\": \"%s\"}",
-                  json_escape(resp.scenario).c_str(), phase_field.c_str(),
-                  json_escape(resp.error).c_str());
-  if (!resp.phases.empty()) {
-    // Phased response (phases=all): one full response object per phase;
-    // the top level aggregates ok and carries the digest over ALL phases.
-    std::string out = format("{\"ok\": %s, \"scenario\": \"%s\"",
-                             resp.ok ? "true" : "false",
-                             json_escape(resp.scenario).c_str());
-    if (!resp.ok)
-      out += format(", \"error\": \"%s\"", json_escape(resp.error).c_str());
-    out += ", \"phases\": [";
-    for (std::size_t i = 0; i < resp.phases.size(); ++i) {
-      if (i) out += ", ";
-      out += response_json(resp.phases[i]);
-    }
-    out += format("], \"plan_digest\": \"%s\", \"ms\": {\"total\": %.1f}}",
-                  svc::plan_response_digest(resp).c_str(), resp.total_ms);
-    return out;
-  }
-  std::string out = format(
-      "{\"ok\": true, \"scenario\": \"%s\"%s, \"feasible\": %s, "
-      "\"expected_task_misses\": %.1f, \"used_sets\": %u, "
-      "\"total_sets\": %u, \"captured\": %llu, \"store_hits\": %llu",
-      json_escape(resp.scenario).c_str(), phase_field.c_str(),
-      resp.assignment.feasible ? "true" : "false",
-      resp.assignment.expected_task_misses, resp.assignment.used_sets,
-      resp.assignment.total_sets,
-      static_cast<unsigned long long>(resp.captured()),
-      static_cast<unsigned long long>(resp.store_hits()));
-  out += ", \"tasks\": [";
-  for (std::size_t i = 0; i < resp.tasks.size(); ++i) {
-    const auto& t = resp.tasks[i];
-    out += format("%s{\"name\": \"%s\", \"sets\": %u, \"misses\": %.1f, "
-                  "\"t_i\": %.0f}",
-                  i ? ", " : "", json_escape(t.name).c_str(), t.sets,
-                  t.predicted_misses, t.predicted_cycles);
-  }
-  out += "], \"runs\": [";
-  for (std::size_t i = 0; i < resp.captures.size(); ++i) {
-    const auto& r = resp.captures[i];
-    out += format("%s{\"jitter\": %llu, \"digest\": \"%s\", \"source\": "
-                  "\"%s\"}",
-                  i ? ", " : "", static_cast<unsigned long long>(r.jitter),
-                  r.digest.c_str(), svc::to_string(r.source));
-  }
-  // plan_digest is the machine-grade identity: the rounded floats above
-  // are for humans, the digest separates answers bit-for-bit
-  // (bench/micro_plan_server proves coalesced == uncoalesced through it).
-  out += format(
-      "], \"plan_source\": \"%s\", \"sweep\": \"%s\", \"union_points\": %u, "
-      "\"plan_digest\": \"%s\", "
-      "\"ms\": {\"capture\": %.1f, \"profile\": %.1f, "
-      "\"plan\": %.1f, \"plan_cache\": %.2f, \"total\": %.1f}}",
-      svc::to_string(resp.plan_source), svc::to_string(resp.sweep),
-      resp.union_points, svc::plan_response_digest(resp).c_str(),
-      resp.capture_ms, resp.profile_ms, resp.plan_ms, resp.plan_cache_ms,
-      resp.total_ms);
-  return out;
-}
 
 std::string scenarios_json() {
   // One registry lock for the whole listing (ScenarioRegistry::list), not
@@ -297,12 +210,11 @@ std::string handle_line(svc::PlanningService& service,
     std::string operands, err;
     std::getline(in, operands);  // everything after the command word
     if (!svc::parse_plan_request(operands, req, err)) return error_json(err);
-    return response_json(service.plan(req));
+    return svc::plan_response_json(service.plan(req));
   }
   if (cmd == "quit" || cmd == "exit")
     return error_json("quit is stdin-only; close the connection instead");
-  return error_json("unknown command '" + cmd +
-                    "' (plan|scenarios|stats|gc)");
+  return svc::unknown_command_json(cmd);
 }
 
 /// Admission-deadline extractor for the socket server: pull

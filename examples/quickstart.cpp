@@ -4,7 +4,8 @@
 // ~100 lines: the workload is wrapped as an apps::Application, both modes
 // are submitted as SimJobs to one core::Campaign (so with --jobs 2 they
 // simulate concurrently), and --quick additionally runs a reduced-grid
-// Experiment::profile() sweep through the same runner.
+// Experiment::profile() through the same runner: one capture simulation,
+// then its replay at both grid points, split by stream across the workers.
 //
 // Flags: --jobs N (campaign workers, default 1), --quick (small content +
 // profiling smoke; what CI runs under TSan).
@@ -222,14 +223,15 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(protected_misses[1]));
 
   if (quick) {
-    // Reduced-grid profiling sweep through the same runner — the CI TSan
-    // smoke exercises concurrent engines end to end with this path.
+    // Reduced-grid profile through the same runner. With profile_runs = 1
+    // it is one capture simulation, then the replay of that capture at
+    // both grid points, which the Campaign splits by stream across the
+    // workers — the CI TSan smoke runs this path.
     core::ExperimentConfig cfg;
     cfg.platform = quickstart_platform();
     cfg.profile_grid = {1, 8};
     cfg.profile_runs = 1;
     cfg.jobs = jobs;
-    cfg.profiler = core::parse_profiler(argc, argv);
     // --trace-dir persists the captures; the key names this app AND its
     // content knob (g_items), so a --quick store entry can never serve a
     // full-size run.
@@ -238,11 +240,9 @@ int main(int argc, char** argv) {
     cfg.trace_key = "quickstart/items=" + std::to_string(g_items);
     core::Experiment exp(make_quickstart_app, cfg);
     const opt::MissProfile prof = exp.profile();
-    std::printf("\n--quick profile sweep (%zu sims, %u workers, %s):\n%s",
-                cfg.profile_grid.size() * cfg.profile_runs, workers,
-                cfg.profiler == core::ProfilerMode::kTraceReplay
-                    ? "trace-replay"
-                    : "full-sim",
+    std::printf("\n--quick profile sweep (%zu grid points replayed from %u "
+                "capture, %u workers):\n%s",
+                cfg.profile_grid.size(), cfg.profile_runs, workers,
                 prof.to_string().c_str());
   }
   return 0;

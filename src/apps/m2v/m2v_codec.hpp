@@ -6,7 +6,7 @@
 // full-search motion estimator) generates the bitstream the 13-task
 // MPEG2 decoder KPN consumes; the reference decoder is the functional
 // oracle. The paper's MPEG2 content cannot be shipped, so the encoder
-// compresses synthetic moving-box sequences (DESIGN.md section 2).
+// compresses synthetic moving-box sequences.
 #pragma once
 
 #include <cstdint>

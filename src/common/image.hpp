@@ -1,8 +1,7 @@
 // Simple 8-bit planar images plus deterministic synthetic content
 // generators. The paper's workloads decode pictures; since we cannot ship
 // the original Philips test content, our encoders compress synthetic but
-// structured images (gradients, texture, moving boxes) generated here
-// (DESIGN.md section 2).
+// structured images (gradients, texture, moving boxes) generated here.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Deterministic, seedable random number generation.
 //
-// Simulations must be bit-reproducible (DESIGN.md section 5), so all
-// randomness in the library flows through this engine rather than
+// Simulations must be bit-reproducible (ARCHITECTURE.md, "Determinism"),
+// so all randomness in the library flows through this engine rather than
 // std::random_device or rand().
 #pragma once
 

@@ -10,7 +10,7 @@ namespace cms {
 
 /// Column-aligned plain-text table. Cells are strings; numeric helpers
 /// format with fixed precision. Rendered with a header rule, suitable for
-/// terminal output and for diffing in EXPERIMENTS.md.
+/// terminal output and for diffing.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);

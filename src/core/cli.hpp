@@ -101,11 +101,6 @@ struct FlagChoice {
   E value;
 };
 
-inline constexpr FlagChoice<ProfilerMode> kProfilerModes[] = {
-    {"fullsim", ProfilerMode::kFullSim},
-    {"replay", ProfilerMode::kTraceReplay},
-    {nullptr, {}}};
-
 inline constexpr FlagChoice<TraceMode> kTraceModes[] = {
     {"off", TraceMode::kOff},
     {"ro", TraceMode::kReadOnly},
@@ -154,13 +149,6 @@ E parse_choice_flag(int argc, char** argv, const char* flag,
 inline unsigned parse_jobs(int argc, char** argv, unsigned def = 1) {
   return static_cast<unsigned>(
       parse_u64_flag(argc, argv, "--jobs", def, 0, kMaxJobs));
-}
-
-/// `--profiler fullsim|replay`: a simulation per grid point x run, or
-/// capture + replay (the same profile from grid-times fewer simulations).
-inline ProfilerMode parse_profiler(int argc, char** argv,
-                                   ProfilerMode def = ProfilerMode::kFullSim) {
-  return parse_choice_flag(argc, argv, "--profiler", kProfilerModes, def);
 }
 
 /// `--service-clients N`: concurrent client threads of the service bench.

@@ -127,9 +127,10 @@ std::vector<Experiment::ProfileJob> Experiment::profile_jobs() const {
     pc.hier.l2.size_bytes = need_sets * line * ways;
     // Isolation runs use outcome-invariant L2 timing (mem/hierarchy.hpp):
     // schedules — and hence every client's L2 access stream — are then
-    // identical at every grid size, which is what lets kTraceReplay
+    // identical at every grid size, which is what lets profile()
     // reproduce this sweep exactly from profile_runs captures. Off-chip
-    // latency is reconstructed analytically in both profiler modes.
+    // latency is reconstructed analytically in profile() and
+    // profile_reference() alike.
     pc.hier.uniform_l2_timing = true;
     uplan.total_sets = need_sets;
 
@@ -147,16 +148,8 @@ std::vector<Experiment::ProfileJob> Experiment::profile_jobs() const {
   return out;
 }
 
-opt::MissProfile Experiment::profile() const { return profile_with(cfg_.profiler); }
-
-opt::MissProfile Experiment::profile_with(ProfilerMode mode) const {
+opt::MissProfile Experiment::profile_reference() const {
   const std::vector<ProfileJob> sweep = profile_jobs();
-  return mode == ProfilerMode::kTraceReplay ? profile_replay(sweep)
-                                            : profile_fullsim(sweep);
-}
-
-opt::MissProfile Experiment::profile_fullsim(
-    const std::vector<ProfileJob>& sweep) const {
   Campaign campaign(cfg_.jobs);
   for (const ProfileJob& pj : sweep) campaign.add(pj.job);
   const std::vector<JobResult> results = campaign.run_all();
@@ -323,8 +316,8 @@ std::vector<opt::MultiReplayJob> Experiment::multi_replay_jobs(
   return jobs;
 }
 
-opt::MissProfile Experiment::profile_replay(
-    const std::vector<ProfileJob>& sweep) const {
+opt::MissProfile Experiment::profile() const {
+  const std::vector<ProfileJob> sweep = profile_jobs();
   if (sweep.empty()) return {};
   const std::vector<opt::CaptureRun> captures = capture_runs_for(sweep);
 

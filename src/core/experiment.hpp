@@ -13,10 +13,13 @@
 //   auto comp = opt::compare_expected_vs_simulated(profile, plan,
 //                                                  part.results);
 //
-// Profiling is a declarative sweep over `profile_grid` x `profile_runs`
-// executed by a core::Campaign: every grid point is an independent SimJob,
-// so setting `ExperimentConfig::jobs > 1` fans the sweep out over worker
-// threads with bit-identical results (see runner.hpp for the contract).
+// Profiling captures each of the `profile_runs` jitter runs once and
+// replays every `profile_grid` point from the captures. Captures and
+// per-stream replays run on a core::Campaign, so setting
+// `ExperimentConfig::jobs > 1` fans them out over worker threads with
+// bit-identical results (see runner.hpp for the contract).
+// profile_reference() runs the same sweep as one simulation per grid
+// point and run: the oracle the replay must reproduce exactly.
 #pragma once
 
 #include <cstdint>
@@ -50,15 +53,14 @@ struct ExperimentConfig {
   sim::PlatformConfig platform = sim::cake_platform();
   sim::SchedPolicy policy = sim::SchedPolicy::kMigrating;
   opt::PlannerConfig planner;
-  ProfilerMode profiler = ProfilerMode::kFullSim;
 
   /// Persistent capture store (opt/trace_store.hpp); null keeps captures
-  /// in memory. With a store, kTraceReplay profiling looks every jitter
-  /// run up by Experiment::trace_digest() first — hits skip the
-  /// instrumented simulation entirely, misses capture live and write
-  /// back (unless the store is read-only). Requires a non-empty
-  /// trace_key: the digest must identify the application content, and
-  /// the AppFactory itself is opaque.
+  /// in memory. With a store, profile() looks every jitter run up by
+  /// Experiment::trace_digest() first — hits skip the instrumented
+  /// simulation entirely, misses capture live and write back (unless
+  /// the store is read-only). Requires a non-empty trace_key: the digest
+  /// must identify the application content, and the AppFactory itself
+  /// is opaque.
   std::shared_ptr<opt::TraceStore> trace_store;
   /// Content fingerprint of the application/content this experiment
   /// profiles (e.g. core::app_trace_key(name, app_config)). Folded into
@@ -77,9 +79,11 @@ struct ExperimentConfig {
   /// bit-identical for every value.
   unsigned jobs = 1;
 
-  /// Read by nothing: kTraceReplay profiling always runs the fused
-  /// replay. benchmark/src/pipeline.cpp still sets and passes it, so it
-  /// stays until Benchmark v2 edits that file and deletes it.
+  /// Read by nothing: profile() always captures and runs the fused
+  /// replay. benchmark/src/pipeline.cpp still sets both fields (and names
+  /// the one-value ProfilerMode, core/profiler_mode.hpp), so they stay
+  /// until Benchmark v2 edits that file and deletes them.
+  ProfilerMode profiler = ProfilerMode::kTraceReplay;
   opt::ReplayKernel replay_kernel = opt::ReplayKernel::kAuto;
 };
 
@@ -118,14 +122,19 @@ class Experiment {
   /// virtually enlarged so every sweep point fits.
   std::vector<ProfileJob> profile_jobs() const;
 
-  /// Execute the sweep with the configured profiler and fold the per-job
-  /// results; bit-identical output for any worker count AND both profiler
-  /// modes (kTraceReplay reproduces the kFullSim sweep exactly — see
-  /// opt/trace.hpp for the argument, bench/micro_replay for the check).
+  /// Measure the miss curves: capture_runs(), then replay every grid
+  /// point from the captures (opt::MultiReplay) and fold the fragments.
+  /// `profile_runs` simulations, or none when the trace store holds every
+  /// capture. Bit-identical output for any worker count, and to
+  /// profile_reference() (see opt/trace.hpp for the argument,
+  /// bench/micro_replay for the check).
   opt::MissProfile profile() const;
 
-  /// profile() with an explicit mode (comparison benches, tests).
-  opt::MissProfile profile_with(ProfilerMode mode) const;
+  /// The full-simulation oracle of profile(): every profile_jobs() entry
+  /// simulated on a Campaign with `config().jobs` workers, grid x runs
+  /// simulations, no trace store. Tests and benches compare profile()
+  /// against it.
+  opt::MissProfile profile_reference() const;
 
   /// The capture half of trace-replay profiling: one instrumented
   /// isolation run per jitter seed (at the first grid point — any grid
@@ -200,8 +209,6 @@ class Experiment {
                   std::shared_ptr<const opt::PartitionPlan> plan,
                   std::uint64_t jitter, std::string label) const;
 
-  opt::MissProfile profile_fullsim(const std::vector<ProfileJob>& sweep) const;
-  opt::MissProfile profile_replay(const std::vector<ProfileJob>& sweep) const;
   std::vector<opt::CaptureRun> capture_runs_for(
       const std::vector<ProfileJob>& sweep) const;
 

@@ -1,5 +1,5 @@
-// ProfilerMode / TraceMode live in their own header so the lightweight
-// CLI helpers (core/cli.hpp) can parse --profiler / --trace without
+// The mode enums live in their own header so the lightweight CLI helpers
+// (core/cli.hpp) can parse --trace / --store-l2 / --plan-cache without
 // dragging the whole Experiment/sim stack into every bench and example TU.
 #pragma once
 
@@ -7,21 +7,15 @@
 
 namespace cms::core {
 
-/// How Experiment::profile() measures the miss curves.
-enum class ProfilerMode : std::uint8_t {
-  /// One full simulation per (grid size x jitter run) — the reference.
-  kFullSim,
-  /// One instrumented simulation per jitter run captures every client's
-  /// L2-bound stream; every grid point is then replayed through
-  /// standalone cache models (opt/trace.hpp). Bit-identical profiles at
-  /// ~grid-times fewer engine runs, for every replacement policy
-  /// (kRandom replacement is counter-based per client, so it replays
-  /// exactly too).
-  kTraceReplay,
-};
+/// Read by nothing: Experiment::profile() always captures and replays, and
+/// Experiment::profile_reference() is the full-simulation oracle.
+/// benchmark/src/pipeline.cpp still names this value and sets
+/// ExperimentConfig::profiler, so both stay, next to the ReplayKernel
+/// shims, until Benchmark v2 edits that file and deletes them.
+enum class ProfilerMode : std::uint8_t { kTraceReplay };
 
 /// Persistence of profiling captures (--trace=off|ro|rw + --trace-dir).
-/// With a store attached, kTraceReplay consults it before capturing:
+/// With a store attached, profiling consults it before capturing:
 /// hits skip the instrumented simulation entirely, misses capture live
 /// and (in kReadWrite) write back — capture once, replay across
 /// processes and runs (opt/trace_store.hpp).

@@ -27,11 +27,11 @@
 #include <vector>
 
 #include "apps/applications.hpp"
+#include "mem/trace_sink.hpp"
 #include "opt/planner.hpp"
 #include "sim/os.hpp"
 #include "sim/platform.hpp"
 #include "sim/results.hpp"
-#include "sim/trace_hook.hpp"
 
 namespace cms::core {
 
@@ -69,7 +69,7 @@ struct SimJob {
   /// keep a handle and harvest the recording after run_all(); each job
   /// needs its OWN sink instance — the hierarchy notifies it from the
   /// worker thread that executes the job.
-  std::shared_ptr<sim::AccessTraceSink> trace_sink;
+  std::shared_ptr<mem::AccessTraceSink> trace_sink;
 };
 
 /// Result of one job, tagged with its submission index.

@@ -50,7 +50,6 @@ ScenarioSpec compile_scenario(const ScenarioDef& def) {
   if (def.l2_bytes) e.platform.hier.l2.size_bytes = def.l2_bytes;
   if (!def.grid.empty()) e.profile_grid = def.grid;
   if (def.profile_runs) e.profile_runs = def.profile_runs;
-  if (def.profiler) e.profiler = *def.profiler;
   if (def.replacement) e.platform.hier.l2.replacement = *def.replacement;
   if (def.curvature_eps) e.planner.curvature_eps = *def.curvature_eps;
 
@@ -170,11 +169,9 @@ std::vector<ScenarioInfo> ScenarioRegistry::list() const {
 
 Experiment ScenarioRegistry::make_experiment(
     const std::string& name, std::optional<unsigned> jobs,
-    std::optional<ProfilerMode> profiler,
     std::shared_ptr<opt::TraceStore> store) const {
   ScenarioSpec spec = get(name);
   if (jobs) spec.experiment.jobs = *jobs;
-  if (profiler) spec.experiment.profiler = *profiler;
   if (store) spec.experiment.trace_store = std::move(store);
   return Experiment(std::move(spec.factory), std::move(spec.experiment));
 }
@@ -261,7 +258,6 @@ const std::vector<ScenarioDef>& builtin_scenario_defs() {
           // before the MCKP.
           .grid = dense_grid(64),
           .profile_runs = 1,
-          .profiler = ProfilerMode::kTraceReplay,
           .curvature_eps = 0.005,
       },
       {

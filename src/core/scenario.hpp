@@ -58,7 +58,6 @@ struct ScenarioDef {
   std::uint32_t l2_bytes = 0;       // 0 = platform default
   std::vector<std::uint32_t> grid;  // empty = default profiling grid
   std::uint32_t profile_runs = 0;   // 0 = default (2)
-  std::optional<ProfilerMode> profiler;
   std::optional<mem::Replacement> replacement;
   std::optional<double> curvature_eps;  // MCKP thinning tolerance
   /// Non-empty = streaming scenario whose app mix changes mid-run;
@@ -131,15 +130,13 @@ class ScenarioRegistry {
   std::vector<ScenarioInfo> list() const;
 
   /// Convenience: build the Experiment for a registered scenario. `jobs`
-  /// overrides the spec's campaign worker count, `profiler` the spec's
-  /// profiling mode (kFullSim vs kTraceReplay), a non-null `store`
+  /// overrides the spec's campaign worker count, a non-null `store`
   /// attaches a persistent trace store (captures are then looked up on
   /// disk before simulating — see opt/trace_store.hpp); omitted, the
   /// spec's own settings stand. Built-in scenarios carry a trace_key, so
   /// the store works out of the box.
   Experiment make_experiment(
       const std::string& name, std::optional<unsigned> jobs = std::nullopt,
-      std::optional<ProfilerMode> profiler = std::nullopt,
       std::shared_ptr<opt::TraceStore> store = nullptr) const;
 
  private:
@@ -158,8 +155,8 @@ const std::vector<ScenarioDef>& builtin_scenario_defs();
 ///   jpeg-canny-tiny   same mix on tiny content (unit tests, smokes)
 ///   mpeg2-tiny        MPEG2 on tiny content
 ///   jpeg-canny-fine   jpeg-canny with a 2x denser profiling sweep grid
-///   jpeg-canny-dense  tiny content on a dense 64-point grid, trace-replay
-///                     by default (the sweep replay + the store make cheap)
+///   jpeg-canny-dense  tiny content on a dense 64-point grid (the sweep
+///                     replay + the store make it cheap)
 ///   mpeg2-tiny-rand   MPEG2 tiny with kRandom L2 replacement (pins the
 ///                     counter-based RNG replay path in benches/CI)
 ///   stream-tiny       3-phase streaming mix on tiny content, jpeg-canny

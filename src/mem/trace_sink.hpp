@@ -7,10 +7,6 @@
 // recorded per-client streams are sufficient to replay every client's
 // hit/miss sequence through a standalone cache model at any partition
 // size, because isolated clients never interact inside the L2.
-//
-// The sink lives in `mem` (the layer that owns the hierarchy); `sim`
-// re-exports the name (sim/trace_hook.hpp) for callers that wire it
-// through a Platform.
 #pragma once
 
 #include "common/types.hpp"

@@ -75,7 +75,8 @@ class MissProfile {
   std::vector<std::string> task_names() const;
   std::vector<std::uint32_t> sizes(const std::string& task) const;
 
-  /// Render as "task, size->misses" rows (debugging / EXPERIMENTS.md).
+  /// Render as "task, size->misses" rows (debugging, the micro_replay
+  /// profile dump).
   std::string to_string() const;
 
  private:

@@ -39,10 +39,11 @@
 // and runs.
 //
 // Active cycles t_i(z_k) cannot be replayed (bus grants and DRAM bank
-// occupancy are global), so BOTH profiler modes reconstruct them from the
-// platform latency model: t_i = compute + uniform-timing memory cycles +
-// demand_misses * miss_surcharge. The reconstruction is exact w.r.t. the
-// uniform-timing run (hence bit-identical between modes) but approximate
+// occupancy are global), so replay and the full-simulation oracle both
+// reconstruct them from the platform latency model: t_i = compute +
+// uniform-timing memory cycles + demand_misses * miss_surcharge. The
+// reconstruction is exact w.r.t. the uniform-timing run (hence
+// bit-identical between the two) but approximate
 // w.r.t. a fully timed run; bench/micro_replay reports that error.
 #pragma once
 
@@ -332,8 +333,8 @@ CaptureRun decode_capture(const std::uint8_t* data, std::size_t size,
 /// charge: nominal DRAM access latency + the return bus transfer.
 Cycle miss_surcharge(const mem::HierarchyConfig& hier);
 
-/// Analytic t_i of the reconstruction model; used by BOTH profiler modes
-/// so their active-cycle curves agree bitwise.
+/// Analytic t_i of the reconstruction model; used by replay and by the
+/// full-simulation oracle so their active-cycle curves agree bitwise.
 inline Cycle reconstruct_active_cycles(Cycle compute_cycles, Cycle mem_cycles,
                                        std::uint64_t demand_misses,
                                        Cycle surcharge) {

@@ -1,5 +1,5 @@
 // Memory access recording — phase one of the two-phase execution model
-// (DESIGN.md section 5).
+// (ARCHITECTURE.md, "Timing engine").
 //
 // While a task firing executes functionally, it reports its loads, stores
 // and pure-compute work here. The recorder turns that into a stream of

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -184,7 +185,7 @@ std::string json_escape(const std::string& s) {
       out += c;
     } else if (c == '\n') {
       out += "\\n";
-    } else if (byte < 0x20) {
+    } else if (byte < 0x20 || byte >= 0x80) {
       char esc[7];
       std::snprintf(esc, sizeof esc, "\\u%04x", static_cast<unsigned>(byte));
       out += esc;
@@ -192,6 +193,96 @@ std::string json_escape(const std::string& s) {
       out += c;
     }
   }
+  return out;
+}
+
+std::string format(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list copy;
+  va_copy(copy, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, copy);
+  va_end(copy);
+  std::string out(n > 0 ? static_cast<std::size_t>(n) : 0, '\0');
+  if (n > 0) std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  va_end(args);
+  return out;
+}
+
+std::string error_json(const std::string& message) {
+  return format("{\"ok\": false, \"error\": \"%s\"}",
+                json_escape(message).c_str());
+}
+
+std::string unknown_command_json(const std::string& cmd) {
+  return error_json("unknown command '" + cmd + "' (plan|scenarios|stats|gc)");
+}
+
+std::string plan_response_json(const PlanResponse& resp) {
+  // Per-phase entries of a phased response carry their phase name.
+  const std::string phase_field =
+      resp.phase.empty()
+          ? std::string()
+          : format(", \"phase\": \"%s\"", json_escape(resp.phase).c_str());
+  if (!resp.ok && resp.phases.empty())
+    return format("{\"ok\": false, \"scenario\": \"%s\"%s, \"error\": \"%s\"}",
+                  json_escape(resp.scenario).c_str(), phase_field.c_str(),
+                  json_escape(resp.error).c_str());
+  if (!resp.phases.empty()) {
+    // Phased response (phases=all): one full response object per phase;
+    // the top level aggregates ok and carries the digest over ALL phases.
+    std::string out = format("{\"ok\": %s, \"scenario\": \"%s\"",
+                             resp.ok ? "true" : "false",
+                             json_escape(resp.scenario).c_str());
+    if (!resp.ok)
+      out += format(", \"error\": \"%s\"", json_escape(resp.error).c_str());
+    out += ", \"phases\": [";
+    for (std::size_t i = 0; i < resp.phases.size(); ++i) {
+      if (i) out += ", ";
+      out += plan_response_json(resp.phases[i]);
+    }
+    out += format("], \"plan_digest\": \"%s\", \"ms\": {\"total\": %.1f}}",
+                  plan_response_digest(resp).c_str(), resp.total_ms);
+    return out;
+  }
+  std::string out = format(
+      "{\"ok\": true, \"scenario\": \"%s\"%s, \"feasible\": %s, "
+      "\"expected_task_misses\": %.1f, \"used_sets\": %u, "
+      "\"total_sets\": %u, \"captured\": %llu, \"store_hits\": %llu",
+      json_escape(resp.scenario).c_str(), phase_field.c_str(),
+      resp.assignment.feasible ? "true" : "false",
+      resp.assignment.expected_task_misses, resp.assignment.used_sets,
+      resp.assignment.total_sets,
+      static_cast<unsigned long long>(resp.captured()),
+      static_cast<unsigned long long>(resp.store_hits()));
+  out += ", \"tasks\": [";
+  for (std::size_t i = 0; i < resp.tasks.size(); ++i) {
+    const auto& t = resp.tasks[i];
+    out += format("%s{\"name\": \"%s\", \"sets\": %u, \"misses\": %.1f, "
+                  "\"t_i\": %.0f}",
+                  i ? ", " : "", json_escape(t.name).c_str(), t.sets,
+                  t.predicted_misses, t.predicted_cycles);
+  }
+  out += "], \"runs\": [";
+  for (std::size_t i = 0; i < resp.captures.size(); ++i) {
+    const auto& r = resp.captures[i];
+    out += format("%s{\"jitter\": %llu, \"digest\": \"%s\", \"source\": "
+                  "\"%s\"}",
+                  i ? ", " : "", static_cast<unsigned long long>(r.jitter),
+                  r.digest.c_str(), to_string(r.source));
+  }
+  // plan_digest is the machine-grade identity: the rounded floats above
+  // are for humans, the digest separates answers bit-for-bit
+  // (bench/micro_plan_server proves coalesced == uncoalesced through it).
+  out += format(
+      "], \"plan_source\": \"%s\", \"sweep\": \"%s\", \"union_points\": %u, "
+      "\"plan_digest\": \"%s\", "
+      "\"ms\": {\"capture\": %.1f, \"profile\": %.1f, "
+      "\"plan\": %.1f, \"plan_cache\": %.2f, \"total\": %.1f}}",
+      to_string(resp.plan_source), to_string(resp.sweep),
+      resp.union_points, plan_response_digest(resp).c_str(),
+      resp.capture_ms, resp.profile_ms, resp.plan_ms, resp.plan_cache_ms,
+      resp.total_ms);
   return out;
 }
 

@@ -1,7 +1,8 @@
-// Request parsing for the plan_server line protocol, separated from the
-// example binary so the validation rules are unit-testable
-// (tests/test_plan_service.cpp) and reusable by every transport (the
-// stdin loop and the src/net socket server share this parser verbatim).
+// Request parsing and response rendering for the plan_server line
+// protocol, separated from the example binary so the validation rules and
+// the response bytes are unit-testable (tests/test_plan_service.cpp) and
+// shared by every transport (the stdin loop and the src/net socket server
+// use this parser and these renderers verbatim).
 //
 //   plan <scenario> [grid=a,b,c] [runs=N] [l2=BYTES] [eps=X]
 //                   [deadline_ms=MS] [phases=all]
@@ -33,9 +34,22 @@ bool parse_plan_request(const std::string& operands, PlanRequest& req,
                         std::string& error);
 
 /// `s` escaped for the body of a JSON string: '"', '\\', a newline as
-/// `\n` and every other byte below 0x20 as `\u00XX`. Request bytes echoed
-/// back in an error or scenario string then cannot break the JSON line.
+/// `\n`, and every other byte below 0x20 or at or above 0x80 as `\u00XX`.
+/// Request bytes echoed back in an error or scenario string then cannot
+/// break the JSON line, and every response line is ASCII (so valid UTF-8
+/// whatever bytes the request held).
 std::string json_escape(const std::string& s);
+
+/// printf into a std::string. Every response below, and plan_server's
+/// other command responses, are formatted with it.
+std::string format(const char* fmt, ...);
+
+/// The response lines plan_server writes (no trailing newline), each one
+/// JSON object: a protocol error, an unknown command word, and the answer
+/// to one plan request (ok or not, phased or not).
+std::string error_json(const std::string& message);
+std::string unknown_command_json(const std::string& cmd);
+std::string plan_response_json(const PlanResponse& resp);
 
 /// Content digest of everything a successful response answers with: the
 /// full assignment (entry names/kinds/sets/partition ranges and the

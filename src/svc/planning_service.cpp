@@ -242,11 +242,9 @@ core::Experiment PlanningService::build_experiment(
     cfg.planner.curvature_eps = *req.curvature_eps;
   }
   // The service path: captures come from (or land in) the shared store,
-  // the sweep is replayed from them. Trace replay is bit-identical to
-  // full simulation (ARCHITECTURE.md), so responses match direct
-  // Experiment plans exactly.
+  // the sweep is replayed from them — Experiment::profile()'s method, so
+  // responses match direct Experiment plans exactly.
   cfg.trace_store = store_;
-  cfg.profiler = core::ProfilerMode::kTraceReplay;
   cfg.jobs = cfg_.jobs;
   return core::Experiment(std::move(factory), std::move(cfg));
 }

@@ -355,7 +355,7 @@ class PlanningService {
 
   core::Experiment make_experiment(const PlanRequest& req) const;
   /// Apply the request's validated overrides to `cfg`, validate the
-  /// resolved grid, force the service's store / replay profiler / jobs,
+  /// resolved grid, force the service's store and jobs,
   /// and build the Experiment (shared by the whole-scenario and
   /// per-phase paths).
   core::Experiment build_experiment(const PlanRequest& req,

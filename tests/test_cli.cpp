@@ -1,9 +1,9 @@
 // Tests for the shared CLI helpers: accepted/rejected --jobs forms (the
-// validation must be stricter than strtoul), the --profiler flag, the
-// tiered-store flags (--store-l2 / --store-l2-dir share a prefix and
-// must never be confused for one another), the socket-server flags
-// (--port presence semantics, worker/queue bounds, the coalesce-window
-// float validation) and the --service-clients thread-count sanity bound.
+// validation must be stricter than strtoul), the tiered-store flags
+// (--store-l2 / --store-l2-dir share a prefix and must never be confused
+// for one another), the socket-server flags (--port presence semantics,
+// worker/queue bounds, the coalesce-window float validation) and the
+// --service-clients thread-count sanity bound.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,13 +17,6 @@ unsigned jobs_of(std::vector<const char*> args, unsigned def = 1) {
   args.insert(args.begin(), "prog");
   return parse_jobs(static_cast<int>(args.size()),
                     const_cast<char**>(args.data()), def);
-}
-
-ProfilerMode profiler_of(std::vector<const char*> args,
-                         ProfilerMode def = ProfilerMode::kFullSim) {
-  args.insert(args.begin(), "prog");
-  return parse_profiler(static_cast<int>(args.size()),
-                        const_cast<char**>(args.data()), def);
 }
 
 TEST(ParseJobs, AcceptsPlainDecimal) {
@@ -55,22 +48,6 @@ TEST(ParseJobs, RejectsMalformedAndOutOfRange) {
   EXPECT_EQ(jobs_of({"--jobs", "4x"}), 1u);        // trailing junk
   EXPECT_EQ(jobs_of({"--jobs=1025"}), 1u);         // above kMaxJobs
   EXPECT_EQ(jobs_of({"--jobs=99999999999999999999"}), 1u);  // overflow
-}
-
-TEST(ParseProfiler, AcceptsBothModes) {
-  EXPECT_EQ(profiler_of({"--profiler", "fullsim"}), ProfilerMode::kFullSim);
-  EXPECT_EQ(profiler_of({"--profiler=replay"}), ProfilerMode::kTraceReplay);
-  EXPECT_EQ(profiler_of({"--profiler", "replay"}), ProfilerMode::kTraceReplay);
-}
-
-TEST(ParseProfiler, DefaultAndBadValues) {
-  EXPECT_EQ(profiler_of({}), ProfilerMode::kFullSim);
-  EXPECT_EQ(profiler_of({}, ProfilerMode::kTraceReplay),
-            ProfilerMode::kTraceReplay);
-  EXPECT_EQ(profiler_of({"--profiler=warp"}), ProfilerMode::kFullSim);
-  EXPECT_EQ(profiler_of({"--profiler"}), ProfilerMode::kFullSim);
-  EXPECT_EQ(profiler_of({"--profiler=REPLAY"}, ProfilerMode::kFullSim),
-            ProfilerMode::kFullSim);
 }
 
 TEST(HasFlag, ExactMatchOnly) {

@@ -174,8 +174,7 @@ TEST(Experiment, StaticPolicyAlsoRunsToCompletion) {
 }
 
 TEST(Experiment, InventoryEntryPointsBuildTheAppOnce) {
-  ExperimentConfig cfg = tiny_experiment();
-  cfg.profiler = ProfilerMode::kTraceReplay;
+  const ExperimentConfig cfg = tiny_experiment();
   const Experiment reference(tiny_m2v(), cfg);
   const opt::MissProfile prof = reference.profile();
   const std::vector<opt::CaptureRun> captures = reference.capture_runs();
@@ -223,16 +222,15 @@ TEST(Experiment, SimulatingEntryPointsAddOneBuildPerRun) {
   }
   EXPECT_EQ(builds->load(), 3);
 
-  // Replay profiling: the inventory plus one capture per jitter run.
+  // profile() on a default-profiler config: the inventory plus one
+  // capture per jitter run.
   *builds = 0;
-  cfg.profiler = ProfilerMode::kTraceReplay;
   Experiment(factory, cfg).profile();
   EXPECT_EQ(builds->load(), 1 + 2);
 
-  // Full-simulation profiling: the inventory plus one run per sweep job.
+  // The full-simulation oracle: the inventory plus one run per sweep job.
   *builds = 0;
-  cfg.profiler = ProfilerMode::kFullSim;
-  Experiment(factory, cfg).profile();
+  Experiment(factory, cfg).profile_reference();
   EXPECT_EQ(builds->load(),
             1 + static_cast<int>(cfg.profile_grid.size() * cfg.profile_runs));
 }

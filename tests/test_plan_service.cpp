@@ -943,15 +943,29 @@ TEST(PlanProtocol, RejectsRepeatedOptions) {
   EXPECT_TRUE(parse_plan_request("s grid=1,2 runs=2", req, err)) << err;
 }
 
+// The valid request lines the protocol fuzzers mutate.
+const std::vector<std::string> kFuzzSeedLines = {
+    "mpeg2-tiny grid=1,2,4,8 runs=2 l2=32768 eps=0.01 deadline_ms=250",
+    "stream-tiny phases=all deadline_ms=5",
+    "jpeg-canny-dense grid=4,12 eps=0",
+};
+
+/// Success when `line` is an all-ASCII JSON error object, as every
+/// answer to a malformed or unknown request must be.
+::testing::AssertionResult ascii_error_line(const std::string& line) {
+  for (const char c : line)
+    if (static_cast<unsigned char>(c) >= 0x80)
+      return ::testing::AssertionFailure() << "non-ASCII byte in " << line;
+  if (line.rfind("{\"ok\": false", 0) != 0)
+    return ::testing::AssertionFailure() << "not an error line: " << line;
+  return ::testing::AssertionSuccess();
+}
+
 // A remote peer writes the whole request line. Truncations, byte
 // mutations and token shuffles of valid lines must each parse, fail with
 // a message, or throw std::runtime_error: nothing else.
 TEST(PlanProtocolFuzz, MutatedRequestLinesParseOrFail) {
-  const std::vector<std::string> valid = {
-      "mpeg2-tiny grid=1,2,4,8 runs=2 l2=32768 eps=0.01 deadline_ms=250",
-      "stream-tiny phases=all deadline_ms=5",
-      "jpeg-canny-dense grid=4,12 eps=0",
-  };
+  const std::vector<std::string>& valid = kFuzzSeedLines;
   const std::string alphabet = " =,.-0123456789eginrs";
   Rng rng(0x9A55EEDull);  // deterministic: any failure reproduces
   std::size_t parsed = 0;
@@ -987,10 +1001,12 @@ TEST(PlanProtocolFuzz, MutatedRequestLinesParseOrFail) {
     PlanRequest req;
     std::string err;
     try {
-      if (parse_plan_request(line, req, err))
+      if (parse_plan_request(line, req, err)) {
         ++parsed;
-      else
+      } else {
         EXPECT_FALSE(err.empty()) << "round " << i << ": '" << line << "'";
+        EXPECT_TRUE(ascii_error_line(error_json(err))) << "round " << i;
+      }
     } catch (const std::runtime_error&) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << "round " << i << ": '" << line
@@ -998,6 +1014,34 @@ TEST(PlanProtocolFuzz, MutatedRequestLinesParseOrFail) {
     }
   }
   EXPECT_GT(parsed, 0u);
+}
+
+// plan_server echoes request bytes into its error and scenario strings.
+// A byte >= 0x80 must come back escaped: a raw one makes the response
+// line invalid UTF-8, which JSON clients reject.
+TEST(PlanProtocolFuzz, NonAsciiRequestBytesGetAsciiErrorLines) {
+  TempDir tmp;
+  PlanningService service({make_store(tmp), 1, nullptr, nullptr});
+  // The line plan_server writes for `plan <operands>`.
+  const auto respond = [&service](const std::string& operands) {
+    PlanRequest req;
+    std::string err;
+    return parse_plan_request(operands, req, err)
+               ? plan_response_json(service.plan(req))
+               : error_json(err);
+  };
+  EXPECT_TRUE(ascii_error_line(respond("no\xffsuch")));
+  EXPECT_TRUE(ascii_error_line(unknown_command_json("pl\xff" "an")));
+  // 0xff at every position of every seed line: an unknown scenario, an
+  // unknown option or a bad value, never a plan and never a raw byte.
+  for (const std::string& seed : kFuzzSeedLines)
+    for (std::size_t at = 0; at <= seed.size(); ++at) {
+      std::string line = seed;
+      line.insert(at, 1, '\xff');
+      EXPECT_TRUE(ascii_error_line(respond(line))) << seed << " @" << at;
+      EXPECT_TRUE(ascii_error_line(unknown_command_json(line)))
+          << seed << " @" << at;
+    }
 }
 
 TEST(PlanProtocol, ParsesPhasedRequests) {
@@ -1048,16 +1092,19 @@ TEST(PlanProtocol, ParsesAdmissionDeadline) {
 
 TEST(PlanProtocol, JsonEscapeLeavesNoRawControlBytes) {
   // plan_server echoes request bytes inside its JSON error and scenario
-  // strings; a raw control byte there makes the whole line invalid JSON.
+  // strings; a raw control byte there makes the whole line invalid JSON,
+  // and a raw byte >= 0x80 may make it invalid UTF-8.
   EXPECT_EQ(json_escape("plan no\x02such"), "plan no\\u0002such");
   EXPECT_EQ(json_escape("runs=\x01x\t\r\x1f"),
             "runs=\\u0001x\\u0009\\u000d\\u001f");
   EXPECT_EQ(json_escape("a\"b\\c\nd\x7f\xc3\xa9"),
-            "a\\\"b\\\\c\\nd\x7f\xc3\xa9");
+            "a\\\"b\\\\c\\nd\x7f\\u00c3\\u00a9");
   std::string every;
-  for (int c = 1; c < 0x20; ++c) every += static_cast<char>(c);
-  for (const char c : json_escape(every))
+  for (int c = 1; c < 0x100; ++c) every += static_cast<char>(c);
+  for (const char c : json_escape(every)) {
     EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+    EXPECT_LT(static_cast<unsigned char>(c), 0x80u);
+  }
 }
 
 TEST(PlanProtocol, ResponseDigestSeparatesAnswersBitForBit) {

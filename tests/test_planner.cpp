@@ -296,7 +296,6 @@ TEST(AutoCurvatureEps, KneesSurviveAcrossBuiltInScenarios) {
     const core::ScenarioSpec spec = core::scenarios().get(name);
     core::ExperimentConfig cfg = spec.experiment;
     cfg.profile_runs = 2;  // jitter spread needs repeated measurements
-    cfg.profiler = core::ProfilerMode::kTraceReplay;
     const core::Experiment exp(spec.factory, cfg);
     const MissProfile prof = exp.profile();
 

@@ -46,8 +46,8 @@ MissProfile fused_profile(const core::Experiment& exp,
 class ReplayKernelScenario : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ReplayKernelScenario, FusedMatchesPerSizeReference) {
-  const core::Experiment exp = core::scenarios().make_experiment(
-      GetParam(), 1, core::ProfilerMode::kTraceReplay);
+  const core::Experiment exp =
+      core::scenarios().make_experiment(GetParam(), 1);
   const std::vector<CaptureRun> captures = exp.capture_runs();
   EXPECT_TRUE(reference_profile(exp, captures)
                   .identical(fused_profile(exp, captures)));
@@ -70,12 +70,12 @@ INSTANTIATE_TEST_SUITE_P(
 // reference sweep at every worker count.
 TEST(ReplayKernelExperiment, WorkerCountInvariant) {
   for (const char* name : {"mpeg2-tiny-rand", "jpeg-canny-dense"}) {
-    const core::Experiment serial = core::scenarios().make_experiment(
-        name, 1, core::ProfilerMode::kTraceReplay);
+    const core::Experiment serial =
+        core::scenarios().make_experiment(name, 1);
     const MissProfile ref = reference_profile(serial, serial.capture_runs());
     for (const unsigned jobs : {1u, 2u, 8u}) {
-      const core::Experiment exp = core::scenarios().make_experiment(
-          name, jobs, core::ProfilerMode::kTraceReplay);
+      const core::Experiment exp =
+          core::scenarios().make_experiment(name, jobs);
       EXPECT_TRUE(ref.identical(exp.profile())) << name << " jobs=" << jobs;
     }
   }

@@ -165,11 +165,11 @@ TEST(TraceRecorder, GroupsByClientAndSorts) {
 }
 
 TEST(ReplayProfile, BitIdenticalToFullSimOnTinyScenarios) {
-  for (const char* name : {"mpeg2-tiny", "jpeg-canny-tiny"}) {
+  for (const char* name :
+       {"mpeg2-tiny", "jpeg-canny-tiny", "mpeg2-tiny-rand"}) {
     const auto exp = core::scenarios().make_experiment(name);
-    const MissProfile full = exp.profile_with(core::ProfilerMode::kFullSim);
-    const MissProfile replay =
-        exp.profile_with(core::ProfilerMode::kTraceReplay);
+    const MissProfile full = exp.profile_reference();
+    const MissProfile replay = exp.profile();
     EXPECT_TRUE(full.identical(replay)) << name;
     // Every grid size of every task is covered.
     for (const auto& [id, task] : exp.tasks())
@@ -187,8 +187,8 @@ TEST(ReplayProfile, BitIdenticalAcrossJitterRuns) {
   cfg.profile_runs = 3;
   const core::Experiment exp(
       [] { return apps::make_m2v_app(apps::AppConfig::tiny(11)); }, cfg);
-  const MissProfile full = exp.profile_with(core::ProfilerMode::kFullSim);
-  const MissProfile replay = exp.profile_with(core::ProfilerMode::kTraceReplay);
+  const MissProfile full = exp.profile_reference();
+  const MissProfile replay = exp.profile();
   EXPECT_TRUE(full.identical(replay));
   // Sanity: the statistics really pool several runs.
   const auto tasks = exp.tasks();
@@ -198,10 +198,7 @@ TEST(ReplayProfile, BitIdenticalAcrossJitterRuns) {
 
 TEST(ReplayProfile, CampaignDeterministicAcrossWorkerCounts) {
   const auto profile_at = [](unsigned workers) {
-    return core::scenarios()
-        .make_experiment("mpeg2-tiny", workers,
-                         core::ProfilerMode::kTraceReplay)
-        .profile();
+    return core::scenarios().make_experiment("mpeg2-tiny", workers).profile();
   };
   const MissProfile serial = profile_at(1);
   for (const unsigned workers : {2u, 8u})
@@ -218,8 +215,7 @@ TEST(ReplayProfile, SerialDriverMatchesExperimentOrchestration) {
       exp.multi_replay_jobs(captures), exp.config().platform.hier.l2,
       exp.config().platform.hier.l2_seed(),
       miss_surcharge(exp.config().platform.hier));
-  EXPECT_TRUE(serial.identical(
-      exp.profile_with(core::ProfilerMode::kTraceReplay)));
+  EXPECT_TRUE(serial.identical(exp.profile()));
 }
 
 TEST(ReplayProfile, RandomReplacementReplaysBitIdentically) {
@@ -234,11 +230,10 @@ TEST(ReplayProfile, RandomReplacementReplaysBitIdentically) {
   cfg.platform.hier.l2.replacement = mem::Replacement::kRandom;
   cfg.profile_grid = {1, 4, 16};
   cfg.profile_runs = 2;
-  cfg.profiler = core::ProfilerMode::kTraceReplay;
   const core::Experiment exp(
       [] { return apps::make_m2v_app(apps::AppConfig::tiny(3)); }, cfg);
   const MissProfile replay = exp.profile();
-  const MissProfile full = exp.profile_with(core::ProfilerMode::kFullSim);
+  const MissProfile full = exp.profile_reference();
   EXPECT_TRUE(full.identical(replay));
 }
 

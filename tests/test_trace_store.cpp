@@ -1168,7 +1168,6 @@ core::ExperimentConfig store_experiment(std::shared_ptr<TraceStore> store,
   cfg.platform.hier.l2.size_bytes = 32 * 1024;
   cfg.profile_grid = {1, 4, 16};
   cfg.profile_runs = 2;
-  cfg.profiler = core::ProfilerMode::kTraceReplay;
   cfg.trace_store = std::move(store);
   cfg.trace_key =
       core::app_trace_key("store-test", apps::AppConfig::tiny(app_seed));
@@ -1273,7 +1272,7 @@ TEST(TraceStore, KRandomCapturesRoundTripThroughTheStore) {
     return cfg;
   };
   const core::Experiment mem(tiny_m2v(), make_cfg(nullptr));
-  const MissProfile fullsim = mem.profile_with(core::ProfilerMode::kFullSim);
+  const MissProfile fullsim = mem.profile_reference();
 
   const auto s1 = std::make_shared<TraceStore>(tmp.file("store"));
   const core::Experiment cold(tiny_m2v(), make_cfg(s1));
