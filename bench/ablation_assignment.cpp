@@ -91,6 +91,7 @@ void run_app(const char* title, const core::AppFactory& factory,
 int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv);
   const auto store = bench::parse_trace_store(argc, argv);
+  bench::warn_unknown_flags(argc, argv);
   run_app("Ablation E1: task-to-processor assignment — 2 jpegs & canny",
           bench::app1_factory(), bench::app1_experiment(jobs, store));
   run_app("Ablation E2: task-to-processor assignment — mpeg2",

@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   const auto factory = bench::app2_factory();
   const auto base = bench::app2_experiment(
       bench::parse_jobs(argc, argv), bench::parse_trace_store(argc, argv));
+  bench::warn_unknown_flags(argc, argv);
   core::Experiment probe(factory, base);
   const auto buffers = probe.buffers();
   const opt::MissProfile prof = probe.profile();

@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
   const auto factory = bench::app1_factory();
   const auto cfg = bench::app1_experiment(bench::parse_jobs(argc, argv),
                                           bench::parse_trace_store(argc, argv));
+  bench::warn_unknown_flags(argc, argv);
   core::Experiment exp(factory, cfg);
   const opt::MissProfile prof = exp.profile();
   const opt::PartitionPlan plan = exp.plan(prof);

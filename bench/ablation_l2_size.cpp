@@ -66,6 +66,7 @@ void sweep(const char* title, const core::AppFactory& factory,
 int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv);
   const auto store = bench::parse_trace_store(argc, argv);
+  bench::warn_unknown_flags(argc, argv);
   sweep("Ablation A1: L2 size sweep — 2 jpegs & canny", bench::app1_factory(),
         bench::app1_experiment(jobs, store));
   sweep("Ablation A2: L2 size sweep — mpeg2", bench::app2_factory(),

@@ -61,6 +61,7 @@ int main(int argc, char** argv) {
   const auto factory = bench::app1_factory();
   const auto cfg = bench::app1_experiment(bench::parse_jobs(argc, argv),
                                           bench::parse_trace_store(argc, argv));
+  bench::warn_unknown_flags(argc, argv);
 
   // The full set-partitioned plan (paper's method) for reference & reuse.
   core::Experiment exp(factory, cfg);

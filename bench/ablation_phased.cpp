@@ -133,6 +133,9 @@ int main(int argc, char** argv) {
   const bool quick = bench::has_flag(argc, argv, "--quick");
   const std::string json_path =
       bench::parse_string_flag(argc, argv, "--json");
+  const unsigned jobs = bench::parse_jobs(argc, argv);
+  const auto store = bench::parse_trace_store(argc, argv);
+  bench::warn_unknown_flags(argc, argv);
   const std::string scenario_name = "stream-tiny";
   print_banner("Ablation H: per-phase replanning vs global plan vs stealing (" +
                scenario_name + ")");
@@ -149,8 +152,8 @@ int main(int argc, char** argv) {
     if (plans.count(ph.trace_key) != 0) continue;
     core::ExperimentConfig cfg = spec.experiment;
     cfg.trace_key = ph.trace_key;
-    cfg.jobs = bench::parse_jobs(argc, argv);
-    cfg.trace_store = bench::parse_trace_store(argc, argv);
+    cfg.jobs = jobs;
+    cfg.trace_store = store;
     core::Experiment exp(ph.factory, cfg);
     const opt::MissProfile prof = exp.profile();
     const opt::PartitionPlan plan = exp.plan(prof);

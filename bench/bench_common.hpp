@@ -34,6 +34,7 @@ using core::parse_store_l2_target;
 using core::parse_string_flag;
 using core::parse_trace_dir;
 using core::parse_trace_mode;
+using core::warn_unknown_flags;
 
 /// The persistent capture store selected by --trace-dir / --trace (null
 /// when absent or --trace=off). With --store-l2-dir DIR, --store-l2-dir

@@ -11,7 +11,8 @@
 
 using namespace cms;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::warn_unknown_flags(argc, argv);  // fig1 takes no flags
   print_banner("Figure 1: CAKE tile (inside-tile view)");
 
   const sim::PlatformConfig paper = sim::cake_platform();

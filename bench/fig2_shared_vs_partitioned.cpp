@@ -103,6 +103,7 @@ bool run_app(const char* title, const core::AppFactory& factory,
 int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv);
   const auto store = bench::parse_trace_store(argc, argv);
+  bench::warn_unknown_flags(argc, argv);
   const bool app1 = run_app(
       "Figure 2a: 2 jpegs & canny — shared vs best partitioned cache",
       bench::app1_factory(), bench::app1_experiment(jobs, store),

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   const unsigned max_jobs =
       core::Campaign::resolve_jobs(bench::parse_jobs(argc, argv, 4));
   const bool full = bench::has_flag(argc, argv, "--full");
+  bench::warn_unknown_flags(argc, argv);
 
   apps::AppConfig content = bench::app1_content();
   core::ExperimentConfig cfg = bench::app1_experiment();

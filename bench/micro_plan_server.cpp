@@ -393,6 +393,7 @@ int main(int argc, char** argv) {
   const unsigned jobs = core::parse_jobs(argc, argv, 1);
   std::string scenario = core::parse_string_flag(argc, argv, "--scenario");
   if (scenario.empty()) scenario = "mpeg2-tiny";
+  core::warn_unknown_flags(argc, argv);
 
   // Mixed client grids, all subsets of one union (client 0 carries the
   // full union, so whoever leads, the union sweep covers everyone). The

@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
   const opt::TraceStore::Capacity cache_budget{
       core::parse_u64_flag(argc, argv, "--plan-cache-budget-bytes"),
       core::parse_u64_flag(argc, argv, "--plan-cache-budget-entries")};
+  bench::warn_unknown_flags(argc, argv);
 
   // Each service instance composes its own backend over the shared dirs —
   // fresh instances model separate server processes, tiered when a far

@@ -188,9 +188,10 @@ int main(int argc, char** argv) {
   const auto store = bench::parse_trace_store(argc, argv);
   const std::string profile_out =
       bench::parse_string_flag(argc, argv, "--profile-out");
+  const bool compare = bench::has_flag(argc, argv, "--compare-kernels");
+  bench::warn_unknown_flags(argc, argv);
 
-  if (bench::has_flag(argc, argv, "--compare-kernels"))
-    return compare_kernels(jobs, store) ? 0 : 1;
+  if (compare) return compare_kernels(jobs, store) ? 0 : 1;
 
   std::vector<std::string> names;
   if (quick)

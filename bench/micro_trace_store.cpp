@@ -134,7 +134,8 @@ int main(int argc, char** argv) {
   const unsigned jobs = bench::parse_jobs(argc, argv, 1);
   const bool quick = bench::has_flag(argc, argv, "--quick");
   const bool expect_hits = bench::has_flag(argc, argv, "--expect-hits");
-  const bool check_fullsim = !quick || bench::has_flag(argc, argv, "--full");
+  const bool full = bench::has_flag(argc, argv, "--full");
+  const bool check_fullsim = !quick || full;
   std::string dir = bench::parse_trace_dir(argc, argv);
   if (dir.empty()) dir = "micro_trace_store.traces";
   const core::TraceMode mode = bench::parse_trace_mode(argc, argv);
@@ -147,6 +148,7 @@ int main(int argc, char** argv) {
   const bool tiered = !l2_target.empty() && l2 != core::StoreL2Mode::kOff;
   const bool expect_l2_errors =
       bench::has_flag(argc, argv, "--expect-l2-errors");
+  bench::warn_unknown_flags(argc, argv);
   // L2-only-warm pass: a fresh EMPTY L1 over the shared far tier, so
   // every capture must read through. Wiped once up front.
   const std::string l2only_dir = dir + ".l2only";

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
                        bench::app1_experiment(
                            bench::parse_jobs(argc, argv),
                            bench::parse_trace_store(argc, argv)));
+  bench::warn_unknown_flags(argc, argv);
   std::printf("profiling task miss curves (grid of %zu sizes, %u runs each)...\n",
               exp.config().profile_grid.size(), exp.config().profile_runs);
   const opt::MissProfile prof = exp.profile();

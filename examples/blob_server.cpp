@@ -4,11 +4,14 @@
 // (and write through into) ONE shared blob store: every capture and
 // every plan is computed once globally, not once per box.
 //
-// The wire is net::FrameServer framing (4-byte LE length + payload)
+// The wire is net::frame_framing (4-byte LE length + payload)
 // carrying the versioned, checksummed blob protocol of
 // opt/blob_protocol.hpp; opt::NetBackend is the matching client. The
 // daemon is protocol-complete: get/put/stat/remove/list/ping, so a
 // TraceStore or PlanCache could even mount a bare NetBackend directly.
+// A request frame declaring more than 64 MiB is answered with an error
+// response and its connection closes once every earlier answer is
+// flushed.
 //
 //   $ ./example_blob_server --dir far-store --port 0 --port-file p.txt
 //   $ ./micro_trace_store --trace-dir l1 --store-l2 tcp://127.0.0.1:$(cat p.txt)
@@ -31,7 +34,7 @@
 #include <string>
 
 #include "core/cli.hpp"
-#include "net/frame_server.hpp"
+#include "net/socket_server.hpp"
 #include "opt/blob_protocol.hpp"
 #include "opt/store_backend.hpp"
 
@@ -39,7 +42,7 @@ using namespace cms;
 
 namespace {
 
-net::FrameServer* g_server = nullptr;  // SIGTERM/SIGINT -> graceful drain
+net::SocketServer* g_server = nullptr;  // SIGTERM/SIGINT -> graceful drain
 
 void on_signal(int) {
   if (g_server != nullptr) g_server->shutdown();  // async-signal-safe
@@ -69,10 +72,16 @@ int main(int argc, char** argv) {
   }
 
   const unsigned workers = core::parse_net_workers(argc, argv);
-  net::FrameServerConfig cfg;
+  net::SocketServerConfig cfg;
   cfg.port = core::parse_port(argc, argv);
   cfg.workers = workers;
   cfg.max_pending = core::parse_max_pending(argc, argv);
+  const std::string port_file =
+      core::parse_string_flag(argc, argv, "--port-file");
+  core::warn_unknown_flags(argc, argv);
+  // Blob traffic: 64 MiB frames, several of them in flight per reader.
+  cfg.max_write_buffer_bytes = 256u << 20;
+  cfg.framing = net::frame_framing(64u << 20);
   cfg.busy_response = opt::blob_error_response("server busy (queue full)");
   cfg.fatal_response =
       opt::blob_error_response("oversized or corrupt request frame");
@@ -81,7 +90,7 @@ int main(int argc, char** argv) {
   };
 
   try {
-    net::FrameServer server(std::move(cfg));
+    net::SocketServer server(std::move(cfg));
     g_server = &server;
     std::signal(SIGTERM, on_signal);
     std::signal(SIGINT, on_signal);
@@ -91,15 +100,13 @@ int main(int argc, char** argv) {
                  "workers)\n",
                  backend->describe().c_str(), writable ? "rw" : "ro",
                  server.port(), workers);
-    const std::string port_file =
-        core::parse_string_flag(argc, argv, "--port-file");
     if (!port_file.empty()) {
       std::ofstream pf(port_file, std::ios::trunc);
       pf << server.port() << "\n";
     }
     server.join();
     g_server = nullptr;
-    const net::FrameServer::Stats s = server.stats();
+    const net::SocketServer::Stats s = server.stats();
     std::fprintf(stderr,
                  "blob_server drained: %llu requests (%llu served, %llu "
                  "shed), exiting\n",

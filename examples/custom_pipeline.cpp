@@ -161,6 +161,7 @@ int main(int argc, char** argv) {
   // content: any change to the pipeline below must change this key.
   cfg.trace_store = core::open_trace_store(core::parse_trace_dir(argc, argv),
                                            core::parse_trace_mode(argc, argv));
+  core::warn_unknown_flags(argc, argv);
   cfg.trace_key = "sensor-pipeline/v1";
 
   // Registering the custom workload makes it addressable by name for any

@@ -208,17 +208,13 @@ std::uint64_t decoder1_misses(const sim::SimResults& res) {
 /// The integration sweep again, but with partitions planned by the
 /// service (and memoized by the plan cache) instead of hand-rolled
 /// budgets.
-int run_service_planned(int argc, char** argv, const std::string& dir) {
-  const unsigned jobs = core::parse_jobs(argc, argv, 1);
-  const core::TraceMode mode = core::parse_trace_mode(argc, argv);
+int run_service_planned(const std::string& dir, unsigned jobs,
+                        core::TraceMode mode, core::PlanCacheMode cache_mode,
+                        const opt::TraceStore::Capacity& cache_budget) {
   if (mode == core::TraceMode::kOff) {
     std::fprintf(stderr, "jpeg_farm: --trace off disables the service\n");
     return 1;
   }
-  const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
-  const opt::TraceStore::Capacity cache_budget{
-      core::parse_u64_flag(argc, argv, "--plan-cache-budget-bytes"),
-      core::parse_u64_flag(argc, argv, "--plan-cache-budget-entries")};
 
   register_farm_scenarios();
   // One backend shared by the store and the plan cache's disk tier, the
@@ -279,6 +275,15 @@ int run_service_planned(int argc, char** argv, const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string dir = core::parse_trace_dir(argc, argv);
+  const unsigned jobs = core::parse_jobs(argc, argv, 1);
+  const core::TraceMode mode = core::parse_trace_mode(argc, argv);
+  const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
+  const opt::TraceStore::Capacity cache_budget{
+      core::parse_u64_flag(argc, argv, "--plan-cache-budget-bytes"),
+      core::parse_u64_flag(argc, argv, "--plan-cache-budget-entries")};
+  core::warn_unknown_flags(argc, argv);
+
   std::printf("JPEG farm: decoder 1's misses as co-runners are integrated\n");
   std::printf("(compositionality = the numbers in the partitioned column "
               "stay put)\n\n");
@@ -296,7 +301,7 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  const std::string dir = core::parse_trace_dir(argc, argv);
-  if (!dir.empty()) return run_service_planned(argc, argv, dir);
+  if (!dir.empty())
+    return run_service_planned(dir, jobs, mode, cache_mode, cache_budget);
   return 0;
 }

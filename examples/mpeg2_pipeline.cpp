@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   // off disk and skips the instrumented simulations entirely.
   spec.experiment.trace_store = core::open_trace_store(
       core::parse_trace_dir(argc, argv), core::parse_trace_mode(argc, argv));
+  core::warn_unknown_flags(argc, argv);
   core::Experiment exp(spec.factory, spec.experiment);
 
   std::printf("scenario: %s — %s\n", spec.name.c_str(),

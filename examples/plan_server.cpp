@@ -1,7 +1,7 @@
 // plan_server: the store-aware planning service behind a line-oriented
 // protocol — one request per line, one JSON response per line — served
 // either over stdin/stdout (the default; pipelines, debugging) or as a
-// real socket server (`--port`, src/net/line_server.hpp: poll event
+// real socket server (`--port`, src/net/socket_server.hpp: poll event
 // loop, many concurrent connections, worker pool). The process is the
 // unit of deployment: point it at a trace-store directory (shared with
 // CI jobs, benches or other servers) and every scenario is captured at
@@ -44,6 +44,9 @@
 //   transport-level ones every client must expect under load:
 //     {"ok": false, "error": "error busy (queue full, retry)"}   (shed)
 //     {"ok": false, "error": "error deadline expired in queue"}
+//   A socket request line over 64 KiB is answered with
+//     {"ok": false, "error": "error line too long"}
+//   and the connection closes once every earlier answer is flushed.
 //
 // Flags: --trace-dir D             store directory (default plan_server.traces)
 //        --trace off|ro|rw         store mode (off is rejected; default rw)
@@ -85,7 +88,7 @@
 #include "core/cli.hpp"
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
-#include "net/line_server.hpp"
+#include "net/socket_server.hpp"
 #include "svc/plan_protocol.hpp"
 #include "svc/planning_service.hpp"
 
@@ -113,7 +116,7 @@ std::string scenarios_json() {
 }
 
 std::string stats_json(const svc::PlanningService& service,
-                       const net::LineServer* server) {
+                       const net::SocketServer* server) {
   const svc::ServiceStats ss = service.service_stats();
   const opt::TraceStore::Stats st = service.store_stats();
   const opt::PlanCache::Stats pc = service.plan_cache_stats();
@@ -168,7 +171,7 @@ std::string stats_json(const svc::PlanningService& service,
       static_cast<unsigned long long>(pc.disk_bytes),
       opt::tier_counters_json(pc.tiers).c_str());
   if (server != nullptr) {
-    const net::LineServer::Stats ns = server->stats();
+    const net::SocketServer::Stats ns = server->stats();
     out += format(
         ", \"net\": {\"accepted\": %llu, \"requests\": %llu, "
         "\"served\": %llu, \"shed\": %llu, \"deadline_expired\": %llu, "
@@ -178,7 +181,7 @@ std::string stats_json(const svc::PlanningService& service,
         static_cast<unsigned long long>(ns.served),
         static_cast<unsigned long long>(ns.shed),
         static_cast<unsigned long long>(ns.deadline_expired),
-        static_cast<unsigned long long>(ns.closed_overlong),
+        static_cast<unsigned long long>(ns.closed_protocol),
         static_cast<unsigned long long>(ns.closed_slow));
   }
   out += "}";
@@ -197,7 +200,7 @@ std::string gc_json(svc::PlanningService& service) {
 /// verbatim by the stdin loop and the socket worker pool ("quit" never
 /// reaches here). Thread-safe: every service entry point it touches is.
 std::string handle_line(svc::PlanningService& service,
-                        const net::LineServer* server,
+                        const net::SocketServer* server,
                         const std::string& line) {
   std::istringstream in(line);
   std::string cmd;
@@ -217,28 +220,7 @@ std::string handle_line(svc::PlanningService& service,
   return svc::unknown_command_json(cmd);
 }
 
-/// Admission-deadline extractor for the socket server: pull
-/// `deadline_ms=` out of a plan line without a full parse (malformed
-/// requests still flow to the handler for a proper protocol error).
-std::optional<std::uint64_t> deadline_of(const std::string& line) {
-  std::istringstream in(line);
-  std::string tok;
-  if (!(in >> tok) || tok != "plan") return std::nullopt;
-  while (in >> tok) {
-    if (tok.rfind("deadline_ms=", 0) != 0) continue;
-    const std::string val = tok.substr(12);
-    if (val.empty() || val.size() > 19) return std::nullopt;
-    std::uint64_t ms = 0;
-    for (const char c : val) {
-      if (c < '0' || c > '9') return std::nullopt;
-      ms = ms * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return ms;
-  }
-  return std::nullopt;
-}
-
-net::LineServer* g_server = nullptr;  // SIGTERM/SIGINT -> graceful drain
+net::SocketServer* g_server = nullptr;  // SIGTERM/SIGINT -> graceful drain
 
 void on_signal(int) {
   if (g_server != nullptr) g_server->shutdown();  // async-signal-safe
@@ -264,7 +246,14 @@ int main(int argc, char** argv) {
   const opt::TraceStore::Capacity cache_budget{
       core::parse_u64_flag(argc, argv, "--plan-cache-budget-bytes"),
       core::parse_u64_flag(argc, argv, "--plan-cache-budget-entries")};
+  const double coalesce_window_ms = core::parse_coalesce_window_ms(argc, argv);
   const bool socket_mode = core::has_value_flag(argc, argv, "--port");
+  const std::uint16_t port = core::parse_port(argc, argv);
+  const std::string port_file =
+      core::parse_string_flag(argc, argv, "--port-file");
+  const unsigned workers = core::parse_net_workers(argc, argv);
+  const std::size_t max_pending = core::parse_max_pending(argc, argv);
+  core::warn_unknown_flags(argc, argv);
 
   // ONE backend (dir, or tiered dir-over-dir) shared by the trace store
   // and the plan cache's disk tier, so both kinds of blob ride the same
@@ -276,7 +265,7 @@ int main(int argc, char** argv) {
   svc_cfg.jobs = jobs;
   svc_cfg.plan_cache =
       svc::open_plan_cache(cache_mode, backend, mode, cache_budget);
-  svc_cfg.coalesce_window_ms = core::parse_coalesce_window_ms(argc, argv);
+  svc_cfg.coalesce_window_ms = coalesce_window_ms;
   svc::PlanningService service(std::move(svc_cfg));
   std::fprintf(stderr,
                "plan_server ready: store %s (budget %llu bytes / %llu "
@@ -290,25 +279,25 @@ int main(int argc, char** argv) {
                jobs, jobs == 1 ? "" : "s");
 
   if (socket_mode) {
-    const unsigned workers = core::parse_net_workers(argc, argv);
-    const std::size_t max_pending = core::parse_max_pending(argc, argv);
-    net::LineServerConfig net_cfg;
-    net_cfg.port = core::parse_port(argc, argv);
+    net::SocketServerConfig net_cfg;
+    net_cfg.port = port;
     net_cfg.workers = workers;
     net_cfg.max_pending = max_pending;
+    net_cfg.max_write_buffer_bytes = 8u << 20;
+    net_cfg.framing = net::line_framing(64u << 10);
     net_cfg.busy_response = error_json("error busy (queue full, retry)");
     net_cfg.deadline_response =
         error_json("error deadline expired in queue");
-    net_cfg.overlong_response = error_json("error line too long");
-    net_cfg.deadline_of = deadline_of;
+    net_cfg.fatal_response = error_json("error line too long");
+    net_cfg.deadline_of = svc::plan_deadline_ms;
     // The handler wants the server back (net counters in `stats`), but
     // the server needs the handler to construct: late-bind through a
     // pointer that is set before start() spawns any worker.
-    net::LineServer* server_ptr = nullptr;
+    net::SocketServer* server_ptr = nullptr;
     net_cfg.handler = [&service, &server_ptr](const std::string& line) {
       return handle_line(service, server_ptr, line);
     };
-    net::LineServer server(std::move(net_cfg));
+    net::SocketServer server(std::move(net_cfg));
     server_ptr = &server;
     std::fprintf(stderr,
                  "plan_server listening on 127.0.0.1:%u (%u net workers, "
@@ -319,8 +308,6 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     std::signal(SIGINT, on_signal);
     server.start();
-    const std::string port_file =
-        core::parse_string_flag(argc, argv, "--port-file");
     if (!port_file.empty()) {
       std::ofstream pf(port_file, std::ios::trunc);
       pf << server.port() << "\n";

@@ -159,6 +159,9 @@ opt::PartitionPlan quickstart_plan(const apps::Application& app) {
 int main(int argc, char** argv) {
   const unsigned jobs = core::parse_jobs(argc, argv);
   const bool quick = core::has_flag(argc, argv, "--quick");
+  const std::string trace_dir = core::parse_trace_dir(argc, argv);
+  const core::TraceMode trace_mode = core::parse_trace_mode(argc, argv);
+  core::warn_unknown_flags(argc, argv);
   if (quick) g_items = 500;
 
   const unsigned workers = core::Campaign::resolve_jobs(jobs);
@@ -235,8 +238,7 @@ int main(int argc, char** argv) {
     // --trace-dir persists the captures; the key names this app AND its
     // content knob (g_items), so a --quick store entry can never serve a
     // full-size run.
-    cfg.trace_store = core::open_trace_store(core::parse_trace_dir(argc, argv),
-                                             core::parse_trace_mode(argc, argv));
+    cfg.trace_store = core::open_trace_store(trace_dir, trace_mode);
     cfg.trace_key = "quickstart/items=" + std::to_string(g_items);
     core::Experiment exp(make_quickstart_app, cfg);
     const opt::MissProfile prof = exp.profile();

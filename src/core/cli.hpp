@@ -3,9 +3,12 @@
 // lookup (flag_value), one digits-only integer rule with an inclusive range
 // (parse_u64_flag) or one choice table per mode enum (choice_value). A bad
 // value warns, naming the flag, the value and what is accepted, and keeps
-// the default.
+// the default. The lookups note every flag name they are asked about, so
+// warn_unknown_flags can name an argument no lookup wanted: a removed or
+// mistyped flag.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
@@ -13,7 +16,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <mutex>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/profiler_mode.hpp"
 
@@ -23,10 +29,28 @@ namespace cms::core {
 /// low enough that a mistyped value can't build an absurd pool.
 inline constexpr unsigned kMaxJobs = 1024;
 
+/// Every flag name the lookups below were asked about, process-wide.
+struct AskedFlags {
+  std::mutex mu;
+  std::set<std::string> names;  // guarded by mu
+};
+
+inline AskedFlags& asked_flags() {
+  static AskedFlags asked;
+  return asked;
+}
+
+inline void note_flag(const char* flag) {
+  AskedFlags& asked = asked_flags();
+  std::lock_guard<std::mutex> lk(asked.mu);
+  asked.names.insert(flag);
+}
+
 /// The value of `FLAG V` / `FLAG=V`, or nullptr when absent. The first
 /// occurrence wins; a trailing FLAG with no value warns and counts as
 /// absent. A shared prefix is not the flag (`--port-file` is not `--port`).
 inline const char* flag_value(int argc, char** argv, const char* flag) {
+  note_flag(flag);
   const std::size_t flag_len = std::strlen(flag);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) {
@@ -43,6 +67,7 @@ inline const char* flag_value(int argc, char** argv, const char* flag) {
 
 /// True when `flag` (e.g. "--quick") is present.
 inline bool has_flag(int argc, char** argv, const char* flag) {
+  note_flag(flag);
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], flag) == 0) return true;
   return false;
@@ -50,6 +75,7 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
 
 /// True when `flag` is present either bare, as `FLAG VALUE` or `FLAG=VALUE`.
 inline bool has_value_flag(int argc, char** argv, const char* flag) {
+  note_flag(flag);
   const std::size_t flag_len = std::strlen(flag);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) return true;
@@ -58,6 +84,28 @@ inline bool has_value_flag(int argc, char** argv, const char* flag) {
       return true;
   }
   return false;
+}
+
+/// Warn once for each `--name` or `--name=value` argument whose name no
+/// lookup has asked about, and return those names in argument order.
+/// Call after a binary's last lookup. Every argument that starts with
+/// `--` counts as a flag, a value that does included.
+inline std::vector<std::string> warn_unknown_flags(int argc, char** argv) {
+  std::vector<std::string> unknown;
+  AskedFlags& asked = asked_flags();
+  std::lock_guard<std::mutex> lk(asked.mu);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const char* eq = std::strchr(argv[i], '=');
+    std::string name = argv[i];
+    if (eq != nullptr) name.resize(static_cast<std::size_t>(eq - argv[i]));
+    if (asked.names.count(name) != 0 ||
+        std::find(unknown.begin(), unknown.end(), name) != unknown.end())
+      continue;
+    std::fprintf(stderr, "warning: ignoring unknown flag %s\n", name.c_str());
+    unknown.push_back(std::move(name));
+  }
+  return unknown;
 }
 
 /// Parse `FLAG S` / `FLAG=S` as a raw string. Returns `def` when absent.

@@ -115,7 +115,7 @@ struct SocketServer::Impl {
   /// Thread-safe; drops silently once the connection is gone.
   void complete(const std::shared_ptr<Conn>& c, std::uint64_t seq,
                 std::string payload) {
-    std::string wire = cfg.encode(std::move(payload));
+    std::string wire = cfg.framing.encode(std::move(payload));
     if (!c->closed.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lk(c->mu);
       c->done.emplace(seq, std::move(wire));
@@ -182,7 +182,7 @@ struct SocketServer::Impl {
   void parse_messages(const std::shared_ptr<Conn>& c) {
     for (;;) {
       std::string msg;
-      const Extract st = cfg.extract(c->rbuf, msg);
+      const Extract st = cfg.framing.extract(c->rbuf, msg);
       if (st == Extract::kMessage) {
         admit(c, std::move(msg));
         continue;
@@ -380,8 +380,8 @@ SocketServer::SocketServer(SocketServerConfig cfg) : impl_(new Impl) {
     throw std::invalid_argument("SocketServer needs a handler");
   if (cfg.workers == 0)
     throw std::invalid_argument("SocketServer needs at least one worker");
-  if (!cfg.extract || !cfg.encode)
-    throw std::invalid_argument("SocketServer needs extract + encode framing");
+  if (!cfg.framing.extract || !cfg.framing.encode)
+    throw std::invalid_argument("SocketServer needs a framing");
   impl_->cfg = std::move(cfg);
 
   int pipefd[2];

@@ -1,15 +1,16 @@
-// Framing-agnostic poll-loop socket server — the shared transport core
-// under net::LineServer (newline-delimited text) and net::FrameServer
-// (length-prefixed binary frames).
+// Framing-agnostic poll-loop socket server: the one transport under
+// plan_server (net::line_framing, newline-delimited text) and
+// blob_server (net::frame_framing, length-prefixed binary frames). It
+// knows no protocol beyond the canned responses its embedder provides.
 //
 // One IO thread owns every socket and runs a poll(2) event loop: it
-// accepts connections, feeds received bytes through the embedder's
+// accepts connections, feeds received bytes through the framing's
 // `extract` hook to pop complete messages, and flushes response bytes
 // back out under POLLOUT.  It never runs application code.  A pool of
 // worker threads consumes a bounded global request queue and calls the
 // (blocking, thread-safe) handler.
 //
-// Contracts (inherited verbatim by both framings):
+// Contracts (the same under either framing):
 //  * PER-CONNECTION ORDERING: responses are written in request order per
 //    connection, no matter how workers interleave (each request gets a
 //    sequence number; finished responses park in a per-connection
@@ -23,7 +24,8 @@
 //  * DEADLINES AT ADMISSION: Config::deadline_of extracts an optional
 //    per-request deadline from the raw message.  The clock starts at
 //    admission; a worker that dequeues an expired request answers
-//    Config::deadline_response without calling the handler.
+//    Config::deadline_response without calling the handler.  A request
+//    that started in time always runs to completion.
 //  * PROTOCOL FATALITY: when `extract` reports the stream cannot be
 //    resynced (overlong line / oversized frame / corrupt framing), the
 //    canned fatal_response is parked at the NEXT sequence slot — every
@@ -34,8 +36,7 @@
 //    every already-admitted request is served and every response byte
 //    flushed before join() returns.
 //
-// The framing hooks run on the IO thread only and must not block; the
-// canned responses are payloads, encoded like any handler result.
+// The canned responses are payloads, encoded like any handler result.
 #pragma once
 
 #include <cstdint>
@@ -44,15 +45,9 @@
 #include <optional>
 #include <string>
 
-namespace cms::net {
+#include "net/framing.hpp"
 
-/// Outcome of one framing-extraction attempt on a connection's read
-/// buffer.
-enum class Extract : std::uint8_t {
-  kMessage,   // one complete message was popped into `out`
-  kNeedMore,  // the buffer holds no complete message yet
-  kFatal,     // the stream cannot be resynced (overlong / corrupt framing)
-};
+namespace cms::net {
 
 struct SocketServerConfig {
   /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read the
@@ -76,15 +71,9 @@ struct SocketServerConfig {
   std::function<std::optional<std::uint64_t>(const std::string& payload)>
       deadline_of = nullptr;
 
-  /// Framing: pop ONE complete message off the FRONT of `rbuf` into
-  /// `out`. Also polices the framing's size cap — return kFatal for a
-  /// message (or unterminated prefix) too large to ever admit. IO
-  /// thread only; must not block.
-  std::function<Extract(std::string& rbuf, std::string& out)> extract;
-  /// Framing: wrap a response payload in wire bytes (terminator /
-  /// length prefix). Applied to handler results AND the canned
-  /// responses below.
-  std::function<std::string(std::string payload)> encode;
+  /// The wire framing, with its size cap: line_framing or
+  /// frame_framing (net/framing.hpp).
+  Framing framing;
 
   /// Canned response payload for a request shed by the full queue.
   std::string busy_response;

@@ -1,5 +1,5 @@
 // The blob wire protocol: versioned, checksummed request/response
-// payloads carried inside net::FrameServer frames — the RPC layer
+// payloads carried inside net::frame_framing frames — the RPC layer
 // between opt::NetBackend (client) and the blob_server daemon
 // (ARCHITECTURE.md "Blob wire protocol").
 //
@@ -37,7 +37,7 @@
 // never fails. handle_blob_request() is the entire server: decode,
 // execute against a StoreBackend, encode — it never throws (every
 // failure becomes a kError response), so any StoreBackend can be
-// exported by wiring it to a FrameServer handler.
+// exported by wiring it to a frame-framed net::SocketServer handler.
 #pragma once
 
 #include <cstdint>
@@ -100,14 +100,14 @@ BlobResponse decode_blob_response(const std::string& payload);
 /// The server side of the protocol in one call: decode `payload`,
 /// execute against `backend`, encode the outcome. Never throws — a
 /// malformed request, a backend error or a write to a read-only export
-/// all become kError responses. Wire it to a net::FrameServer handler
+/// all become kError responses. Wire it to a net::SocketServer handler
 /// (examples/blob_server.cpp) or call it in-process (tests).
 std::string handle_blob_request(StoreBackend& backend,
                                 const std::string& payload,
                                 bool writable = true);
 
 /// A canned kError response payload (op kPing) for transport-level
-/// server failures where no request was decoded: FrameServer's
+/// server failures where no request was decoded: the SocketServer's
 /// busy_response / fatal_response.
 std::string blob_error_response(const std::string& message);
 

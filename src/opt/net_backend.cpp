@@ -18,7 +18,7 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "net/frame_server.hpp"
+#include "net/framing.hpp"
 #include "opt/blob_protocol.hpp"
 
 namespace cms::opt {
@@ -85,10 +85,7 @@ void recv_exact(int fd, char* out, std::size_t n) {
 std::string recv_frame(int fd, std::size_t max_frame_bytes) {
   char header[net::kFrameHeaderBytes];
   recv_exact(fd, header, sizeof header);
-  std::uint32_t len = 0;
-  for (std::size_t i = 0; i < sizeof header; ++i)
-    len |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(header[i]))
-           << (8 * i);
+  const std::uint32_t len = net::frame_length(header);
   // An insane declared length is protocol corruption, not a transport
   // blip — but the bytes behind it are unrecoverable either way, so the
   // connection is torn down by the (non-retried) throw below.

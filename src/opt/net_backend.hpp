@@ -1,5 +1,5 @@
 // Networked StoreBackend: the client side of the blob wire protocol
-// (opt/blob_protocol.hpp over net::FrameServer framing). Drop it in as
+// (opt/blob_protocol.hpp over net::frame_framing). Drop it in as
 // the L2 of a TieredBackend and a fleet shares one far tier — every box
 // captures a digest once globally — with zero changes to TraceStore /
 // PlanCache / PlanningService.

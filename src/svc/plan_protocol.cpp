@@ -140,6 +140,16 @@ bool parse_plan_request(const std::string& operands, PlanRequest& req,
   return true;
 }
 
+std::optional<std::uint64_t> plan_deadline_ms(const std::string& line) {
+  std::istringstream in(line);
+  std::string cmd, operands, error;
+  if (!(in >> cmd) || cmd != "plan") return std::nullopt;
+  std::getline(in, operands);
+  PlanRequest req;
+  if (!parse_plan_request(operands, req, error)) return std::nullopt;
+  return req.deadline_ms;
+}
+
 namespace {
 
 /// One response's own answer (assignment + predictions) — shared by the

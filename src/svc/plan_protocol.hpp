@@ -21,6 +21,8 @@
 // option may appear at most once.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include "svc/planning_service.hpp"
@@ -32,6 +34,12 @@ namespace cms::svc {
 /// human-readable message in `error` (no partial state is usable then).
 bool parse_plan_request(const std::string& operands, PlanRequest& req,
                         std::string& error);
+
+/// The `deadline_ms=` of a whole request line, for the socket server's
+/// admission clock: parsed by parse_plan_request, so a line that is not
+/// `plan` or does not parse has none, and reaches the handler for its
+/// protocol error instead of expiring in the queue.
+std::optional<std::uint64_t> plan_deadline_ms(const std::string& line);
 
 /// `s` escaped for the body of a JSON string: '"', '\\', a newline as
 /// `\n`, and every other byte below 0x20 or at or above 0x80 as `\u00XX`.

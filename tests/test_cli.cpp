@@ -6,6 +6,7 @@
 // --service-clients thread-count sanity bound.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/cli.hpp"
@@ -230,6 +231,21 @@ double window_of(std::vector<const char*> args, double def = 0.0) {
   args.insert(args.begin(), "prog");
   return parse_coalesce_window_ms(static_cast<int>(args.size()),
                                   const_cast<char**>(args.data()), def);
+}
+
+TEST(WarnUnknownFlags, NamesOnlyFlagsNoLookupAskedAbout) {
+  // `--profiler` was removed and `--job` is a typo of `--jobs`: both are
+  // named, once each, while every form of an asked-about flag is not.
+  std::vector<const char*> args{"prog",  "--profiler", "fullsim",
+                                "--job", "2",          "--jobs",
+                                "2",     "--jobs=2",   "--quick",
+                                "--job=3"};
+  const int argc = static_cast<int>(args.size());
+  char** argv = const_cast<char**>(args.data());
+  EXPECT_EQ(parse_jobs(argc, argv), 2u);
+  EXPECT_TRUE(has_flag(argc, argv, "--quick"));
+  EXPECT_EQ(warn_unknown_flags(argc, argv),
+            (std::vector<std::string>{"--profiler", "--job"}));
 }
 
 TEST(ParseCoalesceWindow, AcceptsFiniteMilliseconds) {

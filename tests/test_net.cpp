@@ -1,18 +1,20 @@
-// Tests for net::LineServer (the poll-loop socket transport): many
-// pipelined connections get their responses in request order no matter
-// how the worker pool interleaves, the bounded admission queue sheds
-// with the canned busy response (which still occupies its sequence slot),
-// admission deadlines expire in-queue without invoking the handler,
-// overlong lines answer then close, empty/CRLF lines are tolerated, and
-// a graceful shutdown() drains every admitted request before join()
-// returns. Everything runs against a stub handler — the transport knows
-// nothing of the plan protocol, and these tests keep it that way.
+// Tests for net::SocketServer (the poll-loop socket transport) under
+// net::line_framing: many pipelined connections get their responses in
+// request order no matter how the worker pool interleaves, the bounded
+// admission queue sheds with the canned busy response (which still
+// occupies its sequence slot), admission deadlines expire in-queue
+// without invoking the handler, overlong lines answer then close,
+// empty/CRLF lines are tolerated, and a graceful shutdown() drains every
+// admitted request before join() returns. Everything runs against a stub
+// handler — the transport knows nothing of the plan protocol, and these
+// tests keep it that way.
 //
-// net::FrameServer (the length-prefixed binary cousin built on the same
-// net::SocketServer machinery) gets the equivalent suite: binary-safe
-// echo with pipelined ordering, byte-dripped reassembly, oversized-frame
-// fatality, busy shedding with framed canned responses, and a
-// deterministic-seed fuzz of frame extraction over real connections.
+// Under net::frame_framing (length-prefixed binary frames) the same
+// server gets the equivalent suite: binary-safe echo with pipelined
+// ordering, byte-dripped reassembly, oversized-frame fatality, busy
+// shedding with framed canned responses, the u32 cap on the framing,
+// and a deterministic-seed fuzz of frame extraction over real
+// connections.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -34,8 +36,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "net/frame_server.hpp"
-#include "net/line_server.hpp"
+#include "net/socket_server.hpp"
 
 namespace cms::net {
 namespace {
@@ -137,8 +138,16 @@ struct Gate {
   }
 };
 
-TEST(LineServer, PipelinedConnectionsAnswerInRequestOrder) {
-  LineServerConfig cfg;
+/// A line-framed server config; `max_line_bytes` defaults to
+/// plan_server's 64 KiB.
+SocketServerConfig line_config(std::size_t max_line_bytes = 64u << 10) {
+  SocketServerConfig cfg;
+  cfg.framing = line_framing(max_line_bytes);
+  return cfg;
+}
+
+TEST(LineFraming, PipelinedConnectionsAnswerInRequestOrder) {
+  SocketServerConfig cfg = line_config();
   cfg.workers = 8;
   // Scramble worker completion order on purpose: a line's sleep depends
   // on its content, so later requests routinely finish first and only
@@ -148,7 +157,7 @@ TEST(LineServer, PipelinedConnectionsAnswerInRequestOrder) {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
     return "echo:" + line;
   };
-  LineServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   constexpr int kConns = 4;
@@ -177,15 +186,15 @@ TEST(LineServer, PipelinedConnectionsAnswerInRequestOrder) {
       EXPECT_EQ(*resp, want);
     }
   }
-  const LineServer::Stats s = server.stats();
+  const SocketServer::Stats s = server.stats();
   EXPECT_EQ(s.accepted, static_cast<std::uint64_t>(kConns));
   EXPECT_EQ(s.served, static_cast<std::uint64_t>(kConns * kLines));
   EXPECT_EQ(s.shed, 0u);
 }
 
-TEST(LineServer, BoundedQueueShedsWithBusyResponseInOrder) {
+TEST(LineFraming, BoundedQueueShedsWithBusyResponseInOrder) {
   Gate gate;
-  LineServerConfig cfg;
+  SocketServerConfig cfg = line_config();
   cfg.workers = 1;
   cfg.max_pending = 1;
   cfg.busy_response = "BUSY";
@@ -193,7 +202,7 @@ TEST(LineServer, BoundedQueueShedsWithBusyResponseInOrder) {
     if (line == "block") gate.block();
     return "ok:" + line;
   };
-  LineServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   TestClient c(server.port());
@@ -219,10 +228,10 @@ TEST(LineServer, BoundedQueueShedsWithBusyResponseInOrder) {
   EXPECT_EQ(server.stats().served, 2u);
 }
 
-TEST(LineServer, AdmissionDeadlineExpiresInQueueWithoutHandler) {
+TEST(LineFraming, AdmissionDeadlineExpiresInQueueWithoutHandler) {
   Gate gate;
   std::atomic<int> handled_dl{0};
-  LineServerConfig cfg;
+  SocketServerConfig cfg = line_config();
   cfg.workers = 1;
   cfg.deadline_response = "EXPIRED";
   cfg.deadline_of = [](const std::string& line)
@@ -235,7 +244,7 @@ TEST(LineServer, AdmissionDeadlineExpiresInQueueWithoutHandler) {
     if (line.rfind("dl", 0) == 0) ++handled_dl;
     return "ok:" + line;
   };
-  LineServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   TestClient c(server.port());
@@ -255,13 +264,12 @@ TEST(LineServer, AdmissionDeadlineExpiresInQueueWithoutHandler) {
   EXPECT_EQ(handled_dl.load(), 0);  // the handler never saw it
 }
 
-TEST(LineServer, OverlongLineAnswersThenCloses) {
-  LineServerConfig cfg;
+TEST(LineFraming, OverlongLineAnswersThenCloses) {
+  SocketServerConfig cfg = line_config(32);
   cfg.workers = 1;
-  cfg.max_line_bytes = 32;
-  cfg.overlong_response = "TOO-LONG";
+  cfg.fatal_response = "TOO-LONG";
   cfg.handler = [](const std::string& line) { return "ok:" + line; };
-  LineServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   TestClient c(server.port());
@@ -272,25 +280,24 @@ TEST(LineServer, OverlongLineAnswersThenCloses) {
   EXPECT_EQ(c.recv_line(), std::optional<std::string>("ok:short"));
   EXPECT_EQ(c.recv_line(), std::optional<std::string>("TOO-LONG"));
   EXPECT_EQ(c.recv_line(), std::nullopt);  // connection closed
-  EXPECT_EQ(server.stats().closed_overlong, 1u);
+  EXPECT_EQ(server.stats().closed_protocol, 1u);
 }
 
-TEST(LineServer, OverlongTerminatedLineInOneBatchStillCloses) {
+TEST(LineFraming, OverlongTerminatedLineInOneBatchStillCloses) {
   // Regression: the cap used to be enforced only on the UNTERMINATED
   // tail of the read buffer, so an overlong line whose '\n' arrived in
   // the same recv() batch sailed straight into the handler. The cap must
   // apply to extracted lines too: answer the error at the line's slot,
   // close after the flush, and never admit anything pipelined behind it.
   std::atomic<int> handled_long{0};
-  LineServerConfig cfg;
+  SocketServerConfig cfg = line_config(32);
   cfg.workers = 1;
-  cfg.max_line_bytes = 32;
-  cfg.overlong_response = "TOO-LONG";
+  cfg.fatal_response = "TOO-LONG";
   cfg.handler = [&](const std::string& line) {
     if (line.size() > 32) ++handled_long;
     return "ok:" + line;
   };
-  LineServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   TestClient c(server.port());
@@ -300,16 +307,16 @@ TEST(LineServer, OverlongTerminatedLineInOneBatchStillCloses) {
   EXPECT_EQ(c.recv_line(), std::optional<std::string>("TOO-LONG"));
   EXPECT_EQ(c.recv_line(), std::nullopt);  // closed; "after" never answered
   EXPECT_EQ(handled_long.load(), 0);       // the handler never saw it
-  const LineServer::Stats s = server.stats();
-  EXPECT_EQ(s.closed_overlong, 1u);
+  const SocketServer::Stats s = server.stats();
+  EXPECT_EQ(s.closed_protocol, 1u);
   EXPECT_EQ(s.served, 1u);  // only "short"
 }
 
-TEST(LineServer, CrlfAndBlankLinesAreTolerated) {
-  LineServerConfig cfg;
+TEST(LineFraming, CrlfAndBlankLinesAreTolerated) {
+  SocketServerConfig cfg = line_config();
   cfg.workers = 1;
   cfg.handler = [](const std::string& line) { return "ok:" + line; };
-  LineServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   TestClient c(server.port());
@@ -319,15 +326,15 @@ TEST(LineServer, CrlfAndBlankLinesAreTolerated) {
   EXPECT_EQ(server.stats().served, 2u);  // blank lines were never admitted
 }
 
-TEST(LineServer, GracefulShutdownDrainsEveryAdmittedRequest) {
+TEST(LineFraming, GracefulShutdownDrainsEveryAdmittedRequest) {
   Gate gate;
-  LineServerConfig cfg;
+  SocketServerConfig cfg = line_config();
   cfg.workers = 1;
   cfg.handler = [&](const std::string& line) {
     if (line == "block") gate.block();
     return "ok:" + line;
   };
-  LineServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   TestClient c(server.port());
@@ -350,21 +357,38 @@ TEST(LineServer, GracefulShutdownDrainsEveryAdmittedRequest) {
   EXPECT_EQ(server.stats().served, 3u);
 }
 
-TEST(LineServer, ConstructorValidatesConfig) {
-  LineServerConfig no_handler;
-  EXPECT_THROW(LineServer{std::move(no_handler)}, std::invalid_argument);
-  LineServerConfig no_workers;
+TEST(SocketServer, ConstructorValidatesConfig) {
+  const auto echo = [](const std::string&) { return std::string("x"); };
+  SocketServerConfig no_handler = line_config();
+  EXPECT_THROW(SocketServer{std::move(no_handler)}, std::invalid_argument);
+  SocketServerConfig no_workers = line_config();
   no_workers.workers = 0;
-  no_workers.handler = [](const std::string&) { return std::string(); };
-  EXPECT_THROW(LineServer{std::move(no_workers)}, std::invalid_argument);
-  // An ephemeral bind resolves to a real port.
-  LineServerConfig ok;
-  ok.handler = [](const std::string&) { return std::string("x"); };
-  LineServer server(std::move(ok));
-  EXPECT_GT(server.port(), 0);
+  no_workers.handler = echo;
+  EXPECT_THROW(SocketServer{std::move(no_workers)}, std::invalid_argument);
+  SocketServerConfig no_framing;
+  no_framing.handler = echo;
+  EXPECT_THROW(SocketServer{std::move(no_framing)}, std::invalid_argument);
+  // An ephemeral bind resolves to a real port, under either framing.
+  for (Framing framing : {line_framing(64), frame_framing(64)}) {
+    SocketServerConfig ok;
+    ok.handler = echo;
+    ok.framing = std::move(framing);
+    SocketServer server(std::move(ok));
+    EXPECT_GT(server.port(), 0);
+  }
 }
 
-/// Blocking length-prefixed-frame client for FrameServer tests.
+/// A frame-framed server config; `max_frame_bytes` defaults to
+/// blob_server's 64 MiB.
+SocketServerConfig frame_config(std::size_t max_frame_bytes = 64u << 20) {
+  SocketServerConfig cfg;
+  cfg.framing = frame_framing(max_frame_bytes);
+  return cfg;
+}
+
+/// Blocking length-prefixed-frame client for the frame-framing tests. It
+/// decodes the length prefix itself, an independent check of the wire
+/// format against net::frame_length.
 class FrameClient {
  public:
   explicit FrameClient(std::uint16_t port) : c_(port) {}
@@ -391,13 +415,13 @@ class FrameClient {
   TestClient c_;
 };
 
-TEST(FrameServer, EchoesBinaryPayloadsInRequestOrder) {
-  FrameServerConfig cfg;
+TEST(FrameFraming, EchoesBinaryPayloadsInRequestOrder) {
+  SocketServerConfig cfg = frame_config();
   cfg.workers = 4;
   cfg.handler = [](const std::string& payload) {
     return "echo:" + payload;
   };
-  FrameServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   FrameClient c(server.port());
@@ -412,16 +436,16 @@ TEST(FrameServer, EchoesBinaryPayloadsInRequestOrder) {
     ASSERT_TRUE(resp.has_value());
     EXPECT_EQ(*resp, "echo:" + p);
   }
-  const FrameServer::Stats s = server.stats();
+  const SocketServer::Stats s = server.stats();
   EXPECT_EQ(s.served, payloads.size());
   EXPECT_EQ(s.shed, 0u);
 }
 
-TEST(FrameServer, PartialHeaderAndPayloadChunksReassemble) {
-  FrameServerConfig cfg;
+TEST(FrameFraming, PartialHeaderAndPayloadChunksReassemble) {
+  SocketServerConfig cfg = frame_config();
   cfg.workers = 1;
   cfg.handler = [](const std::string& payload) { return payload + "!"; };
-  FrameServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   FrameClient c(server.port());
@@ -434,17 +458,16 @@ TEST(FrameServer, PartialHeaderAndPayloadChunksReassemble) {
   EXPECT_EQ(c.recv_frame(), std::optional<std::string>("hello!"));
 }
 
-TEST(FrameServer, OversizedFrameAnswersFatalThenCloses) {
+TEST(FrameFraming, OversizedFrameAnswersFatalThenCloses) {
   std::atomic<int> handled{0};
-  FrameServerConfig cfg;
+  SocketServerConfig cfg = frame_config(64);
   cfg.workers = 1;
-  cfg.max_frame_bytes = 64;
   cfg.fatal_response = "FATAL";
   cfg.handler = [&](const std::string& payload) {
     ++handled;
     return payload;
   };
-  FrameServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   FrameClient c(server.port());
@@ -459,9 +482,9 @@ TEST(FrameServer, OversizedFrameAnswersFatalThenCloses) {
   EXPECT_EQ(server.stats().closed_protocol, 1u);
 }
 
-TEST(FrameServer, BoundedQueueShedsWithBusyFrame) {
+TEST(FrameFraming, BoundedQueueShedsWithBusyFrame) {
   Gate gate;
-  FrameServerConfig cfg;
+  SocketServerConfig cfg = frame_config();
   cfg.workers = 1;
   cfg.max_pending = 1;
   cfg.busy_response = "BUSY";
@@ -469,7 +492,7 @@ TEST(FrameServer, BoundedQueueShedsWithBusyFrame) {
     if (payload == "block") gate.block();
     return "ok:" + payload;
   };
-  FrameServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   FrameClient c(server.port());
@@ -584,13 +607,12 @@ std::string fuzz_script(Rng& rng) {
   }
 }
 
-TEST(FrameServerFuzz, FramesAnswerInOrderOrCloseAfterAnOversizedHeader) {
-  FrameServerConfig cfg;
+TEST(FrameFramingFuzz, FramesAnswerInOrderOrCloseAfterAnOversizedHeader) {
+  SocketServerConfig cfg = frame_config(kFuzzMaxFrame);
   cfg.workers = 2;
-  cfg.max_frame_bytes = kFuzzMaxFrame;
   cfg.fatal_response = "FATAL";
   cfg.handler = [](const std::string& payload) { return "echo:" + payload; };
-  FrameServer server(std::move(cfg));
+  SocketServer server(std::move(cfg));
   server.start();
 
   Rng rng(0xF4A3E5EEDull);  // deterministic: any failure reproduces
@@ -645,23 +667,17 @@ TEST(FrameServerFuzz, FramesAnswerInOrderOrCloseAfterAnOversizedHeader) {
   }
   EXPECT_GT(echoes, 100u);
   EXPECT_GT(fatals, 20u);
-  const FrameServer::Stats s = server.stats();
+  const SocketServer::Stats s = server.stats();
   EXPECT_EQ(s.served, echoes + 100);
   EXPECT_EQ(s.closed_protocol, fatals);
   EXPECT_EQ(s.shed, 0u);
 }
 
-TEST(FrameServer, ConstructorValidatesConfig) {
-  FrameServerConfig no_handler;
-  EXPECT_THROW(FrameServer{std::move(no_handler)}, std::invalid_argument);
-  FrameServerConfig no_workers;
-  no_workers.workers = 0;
-  no_workers.handler = [](const std::string&) { return std::string(); };
-  EXPECT_THROW(FrameServer{std::move(no_workers)}, std::invalid_argument);
-  FrameServerConfig ok;
-  ok.handler = [](const std::string&) { return std::string("x"); };
-  FrameServer server(std::move(ok));
-  EXPECT_GT(server.port(), 0);
+TEST(FrameFraming, CapAboveUint32MaxThrows) {
+  // A 4-byte prefix declares at most UINT32_MAX bytes; a larger cap
+  // could never be reached and is refused.
+  EXPECT_THROW(frame_framing(0x1'0000'0000ull), std::invalid_argument);
+  EXPECT_NO_THROW(frame_framing(0xFFFF'FFFFull));
 }
 
 }  // namespace

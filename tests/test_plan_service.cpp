@@ -24,6 +24,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -1088,6 +1089,22 @@ TEST(PlanProtocol, ParsesAdmissionDeadline) {
     EXPECT_NE(err.find("deadline_ms"), std::string::npos)
         << bad << ": " << err;
   }
+}
+
+TEST(PlanProtocol, LineDeadlineComesFromTheFullParse) {
+  // The socket server's admission clock reads plan_deadline_ms. A line
+  // the parser rejects has no deadline, so it reaches the handler for
+  // its protocol error instead of expiring in the queue.
+  using Ms = std::optional<std::uint64_t>;
+  EXPECT_EQ(plan_deadline_ms("plan mpeg2-tiny deadline_ms=5"), Ms(5));
+  EXPECT_EQ(plan_deadline_ms("plan mpeg2-tiny grid=1,2 deadline_ms=0"), Ms(0));
+  for (const char* line :
+       {"plan mpeg2-tiny", "plan mpeg2-tiny deadline_ms=5 bogus=1",
+        "plan mpeg2-tiny deadline_ms=5 deadline_ms=7",
+        "plan mpeg2-tiny grid=1,x deadline_ms=5",
+        "plan mpeg2-tiny deadline_ms=5x", "plan", "stats",
+        "stats deadline_ms=5", ""})
+    EXPECT_EQ(plan_deadline_ms(line), std::nullopt) << line;
 }
 
 TEST(PlanProtocol, JsonEscapeLeavesNoRawControlBytes) {

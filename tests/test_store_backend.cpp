@@ -8,7 +8,7 @@
 // every L2 failure is counted and logged, never surfaced as an error.
 //
 // opt::NetBackend (the tcp:// far tier) runs the SAME contract suite
-// against an in-process blob server (net::FrameServer +
+// against an in-process blob server (a frame-framed net::SocketServer +
 // opt::handle_blob_request over a MemBackend), plus a fault-injection
 // suite: server gone mid-conversation, garbage and corrupted response
 // frames, connection refused, stale-pool recovery across a server
@@ -37,7 +37,7 @@
 
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
-#include "net/frame_server.hpp"
+#include "net/socket_server.hpp"
 #include "opt/blob_protocol.hpp"
 #include "opt/net_backend.hpp"
 #include "opt/store_backend.hpp"
@@ -105,12 +105,21 @@ class FailingBackend final : public StoreBackend {
   MemBackend inner_;
 };
 
+/// The server config of example_blob_server: frame framing with its
+/// 64 MiB frame cap and 256 MiB write buffer. Callers add the handler.
+net::SocketServerConfig blob_server_config() {
+  net::SocketServerConfig cfg;
+  cfg.max_write_buffer_bytes = 256u << 20;
+  cfg.framing = net::frame_framing(64u << 20);
+  return cfg;
+}
+
 /// An in-process blob server + NetBackend client over it: the loopback
 /// version of the example_blob_server deployment, close enough to the
 /// real thing that the full backend contract can run over the wire.
 struct NetHarness {
   std::shared_ptr<StoreBackend> exported;
-  std::unique_ptr<net::FrameServer> server;
+  std::unique_ptr<net::SocketServer> server;
   std::shared_ptr<NetBackend> client;
   bool writable = true;
 
@@ -132,7 +141,7 @@ struct NetHarness {
   }
 
   void start_server(std::uint16_t port) {
-    net::FrameServerConfig scfg;
+    net::SocketServerConfig scfg = blob_server_config();
     scfg.port = port;
     scfg.workers = 4;
     scfg.busy_response = blob_error_response("busy");
@@ -142,7 +151,7 @@ struct NetHarness {
     scfg.handler = [backend, rw](const std::string& payload) {
       return handle_blob_request(*backend, payload, rw);
     };
-    server = std::make_unique<net::FrameServer>(std::move(scfg));
+    server = std::make_unique<net::SocketServer>(std::move(scfg));
     server->start();
   }
 };
@@ -898,9 +907,9 @@ TEST(NetBackend, ConnectRefusedFailsAfterConfiguredRetries) {
   // retry taken, one failure.
   std::uint16_t dead_port = 0;
   {
-    net::FrameServerConfig scfg;
+    net::SocketServerConfig scfg = blob_server_config();
     scfg.handler = [](const std::string& p) { return p; };
-    net::FrameServer probe(std::move(scfg));
+    net::SocketServer probe(std::move(scfg));
     dead_port = probe.port();
   }
   NetBackendConfig cfg = fast_fail_config();
@@ -918,11 +927,11 @@ TEST(NetBackend, GarbageResponseThrowsWithoutRetry) {
   // A server that answers every frame with bytes that are not a blob
   // response: protocol corruption, NOT a transport fault — the client
   // must throw immediately instead of retrying garbage.
-  net::FrameServerConfig scfg;
+  net::SocketServerConfig scfg = blob_server_config();
   scfg.handler = [](const std::string&) {
     return std::string("these are not the bytes you are looking for");
   };
-  net::FrameServer server(std::move(scfg));
+  net::SocketServer server(std::move(scfg));
   server.start();
   NetBackendConfig cfg = fast_fail_config();
   cfg.port = server.port();
@@ -939,13 +948,13 @@ TEST(NetBackend, CorruptedPayloadFailsTheChecksum) {
   // header validates, but the bulk-bytes checksum must catch the damage.
   const auto mem = std::make_shared<MemBackend>();
   mem->put(BlobKind::kTrace, "k", blob_of("precious payload bytes"));
-  net::FrameServerConfig scfg;
+  net::SocketServerConfig scfg = blob_server_config();
   scfg.handler = [mem](const std::string& payload) {
     std::string resp = handle_blob_request(*mem, payload);
     resp[resp.size() / 2] ^= 0x01;  // one bit, mid-payload
     return resp;
   };
-  net::FrameServer server(std::move(scfg));
+  net::SocketServer server(std::move(scfg));
   server.start();
   NetBackendConfig cfg = fast_fail_config();
   cfg.port = server.port();
