@@ -60,7 +60,9 @@
 //        --service-budget-entries N  store entry budget (0 = unlimited)
 //        --plan-cache off|mem|disk memoized plan cache (default disk:
 //                                  .cmsplan entries next to the captures)
-//        --plan-cache-budget-bytes N    per-tier cache byte budget
+//        --plan-cache-budget-bytes N    per-tier cache byte budget, in
+//                                       encoded entry bytes (~1.3 KB per
+//                                       memoized mpeg2-tiny plan)
 //        --plan-cache-budget-entries N  per-tier cache entry budget
 //        --coalesce-window-ms X    hold every union sweep open X ms so
 //                                  concurrent bursts are guaranteed to

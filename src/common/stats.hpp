@@ -32,31 +32,6 @@ class RunningStats {
 
   void merge(const RunningStats& other);
 
-  /// The complete internal state, for bit-exact serialization (the plan
-  /// cache persists folded MissProfiles). min/max are the RAW accumulator
-  /// values — +/-infinity for an empty stream, unlike the min()/max()
-  /// accessors — so a round trip through from_raw() reproduces every
-  /// accessor bitwise.
-  struct Raw {
-    std::uint64_t n = 0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-  };
-  Raw raw() const { return Raw{n_, mean_, m2_, sum_, min_, max_}; }
-  static RunningStats from_raw(const Raw& r) {
-    RunningStats s;
-    s.n_ = r.n;
-    s.mean_ = r.mean;
-    s.m2_ = r.m2;
-    s.sum_ = r.sum;
-    s.min_ = r.min;
-    s.max_ = r.max;
-    return s;
-  }
-
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;

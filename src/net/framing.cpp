@@ -1,27 +1,27 @@
 #include "net/framing.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace cms::net {
 
 Framing line_framing(std::size_t max_line_bytes) {
   Framing f;
-  f.extract = [max_line_bytes](std::string& rbuf, std::string& out) {
+  f.extract = [max_line_bytes](std::string_view rbuf, std::size_t& pos,
+                                std::string& out) {
     for (;;) {
-      const std::size_t nl = rbuf.find('\n');
-      if (nl == std::string::npos) {
+      const std::size_t nl = rbuf.find('\n', pos);
+      if (nl == std::string_view::npos) {
         // Unterminated garbage past the cap has no delimiter in sight:
         // there is no safe resync.
-        return rbuf.size() > max_line_bytes ? Extract::kFatal
-                                            : Extract::kNeedMore;
+        return rbuf.size() - pos > max_line_bytes ? Extract::kFatal
+                                                  : Extract::kNeedMore;
       }
-      std::string line = rbuf.substr(0, nl);
-      rbuf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+      std::string_view line = rbuf.substr(pos, nl - pos);
+      pos = nl + 1;
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       if (line.size() > max_line_bytes) return Extract::kFatal;
       if (line.empty()) continue;
-      out = std::move(line);
+      out.assign(line);
       return Extract::kMessage;
     }
   };
@@ -54,13 +54,15 @@ Framing frame_framing(std::size_t max_frame_bytes) {
   if (max_frame_bytes > 0xFFFFFFFFu)
     throw std::invalid_argument("frame_framing: max_frame_bytes exceeds u32");
   Framing f;
-  f.extract = [max_frame_bytes](std::string& rbuf, std::string& out) {
-    if (rbuf.size() < kFrameHeaderBytes) return Extract::kNeedMore;
-    const std::uint32_t len = frame_length(rbuf.data());
+  f.extract = [max_frame_bytes](std::string_view rbuf, std::size_t& pos,
+                                 std::string& out) {
+    const std::string_view rest = rbuf.substr(pos);
+    if (rest.size() < kFrameHeaderBytes) return Extract::kNeedMore;
+    const std::uint32_t len = frame_length(rest.data());
     if (len > max_frame_bytes) return Extract::kFatal;
-    if (rbuf.size() < kFrameHeaderBytes + len) return Extract::kNeedMore;
-    out.assign(rbuf, kFrameHeaderBytes, len);
-    rbuf.erase(0, kFrameHeaderBytes + len);
+    if (rest.size() < kFrameHeaderBytes + len) return Extract::kNeedMore;
+    out.assign(rest.substr(kFrameHeaderBytes, len));
+    pos += kFrameHeaderBytes + len;
     return Extract::kMessage;
   };
   f.encode = [](std::string payload) { return frame_encode(payload); };

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace cms::net {
 
@@ -37,10 +38,15 @@ enum class Extract : std::uint8_t {
 
 /// The two hooks SocketServer runs on its IO thread; neither may block.
 struct Framing {
-  /// Pop ONE complete message off the FRONT of `rbuf` into `out`, or
+  /// Pop ONE complete message starting at byte `pos` of `rbuf` into
+  /// `out` and advance `pos` past it (and past any skipped bytes), or
   /// return kFatal for a message (or unterminated prefix) too large to
-  /// ever admit.
-  std::function<Extract(std::string& rbuf, std::string& out)> extract;
+  /// ever admit. The caller erases the consumed prefix once per read
+  /// batch, so a batch of N pipelined messages costs O(batch), not
+  /// O(N * batch).
+  std::function<Extract(std::string_view rbuf, std::size_t& pos,
+                        std::string& out)>
+      extract;
   /// Wrap a response payload in wire bytes. Applied to handler results
   /// and to the server's canned responses alike.
   std::function<std::string(std::string payload)> encode;

@@ -178,11 +178,12 @@ struct SocketServer::Impl {
   /// framing wants more bytes — or declares the stream unrecoverable, in
   /// which case the fatal response is parked at the next slot (so
   /// everything admitted before it still answers in order) and the
-  /// connection closes once flushed.
+  /// connection closes once flushed. The consumed prefix is erased once.
   void parse_messages(const std::shared_ptr<Conn>& c) {
+    std::size_t pos = 0;
     for (;;) {
       std::string msg;
-      const Extract st = cfg.framing.extract(c->rbuf, msg);
+      const Extract st = cfg.framing.extract(c->rbuf, pos, msg);
       if (st == Extract::kMessage) {
         admit(c, std::move(msg));
         continue;
@@ -190,12 +191,13 @@ struct SocketServer::Impl {
       if (st == Extract::kFatal) {
         closed_protocol.fetch_add(1, std::memory_order_relaxed);
         complete(c, c->next_seq++, cfg.fatal_response);
-        c->rbuf.clear();
+        pos = c->rbuf.size();  // nothing behind it is ever parsed
         c->reads_done = true;
         c->close_after_flush = true;
       }
       break;  // kNeedMore or kFatal
     }
+    c->rbuf.erase(0, pos);
   }
 
   void worker_loop() {

@@ -14,35 +14,14 @@ namespace cms::opt {
 namespace {
 
 /// Doubles travel as their IEEE bit pattern: the cache's contract is a
-/// BIT-identical round trip (PartitionPlan::identical, MissProfile::
-/// identical), which decimal formatting cannot give.
+/// BIT-identical round trip (PartitionPlan::identical and the
+/// predictions' operator==), which decimal formatting cannot give.
 void put_double(serialize::ByteWriter& w, double v) {
   w.fixed64(std::bit_cast<std::uint64_t>(v));
 }
 
 double get_double(serialize::ByteReader& rd) {
   return std::bit_cast<double>(rd.fixed64());
-}
-
-void put_stats(serialize::ByteWriter& w, const RunningStats& s) {
-  const RunningStats::Raw r = s.raw();
-  w.varint(r.n);
-  put_double(w, r.mean);
-  put_double(w, r.m2);
-  put_double(w, r.sum);
-  put_double(w, r.min);
-  put_double(w, r.max);
-}
-
-RunningStats get_stats(serialize::ByteReader& rd) {
-  RunningStats::Raw r;
-  r.n = rd.varint();
-  r.mean = get_double(rd);
-  r.m2 = get_double(rd);
-  r.sum = get_double(rd);
-  r.min = get_double(rd);
-  r.max = get_double(rd);
-  return RunningStats::from_raw(r);
 }
 
 void put_client(serialize::ByteWriter& w, mem::ClientId c) {
@@ -55,40 +34,6 @@ mem::ClientId get_client(serialize::ByteReader& rd) {
   c.kind = static_cast<mem::ClientKind>(rd.u8());
   c.id = static_cast<std::int32_t>(rd.svarint());
   return c;
-}
-
-void put_profile(serialize::ByteWriter& w, const MissProfile& prof) {
-  const std::vector<std::string> names = prof.task_names();
-  w.varint(names.size());
-  for (const std::string& name : names) {
-    w.str(name);
-    const auto& curve = prof.curve(name);
-    w.varint(curve.size());
-    for (const auto& [sets, point] : curve) {
-      w.varint(sets);
-      put_stats(w, point.misses);
-      put_stats(w, point.active_cycles);
-      put_stats(w, point.instructions);
-    }
-  }
-}
-
-MissProfile get_profile(serialize::ByteReader& rd) {
-  MissProfile prof;
-  const std::uint64_t num_tasks = rd.varint();
-  for (std::uint64_t t = 0; t < num_tasks; ++t) {
-    const std::string name = rd.str();
-    const std::uint64_t num_points = rd.varint();
-    for (std::uint64_t p = 0; p < num_points; ++p) {
-      const auto sets = static_cast<std::uint32_t>(rd.varint());
-      ProfilePoint point;
-      point.misses = get_stats(rd);
-      point.active_cycles = get_stats(rd);
-      point.instructions = get_stats(rd);
-      prof.set_point(name, sets, std::move(point));
-    }
-  }
-  return prof;
 }
 
 void put_plan(serialize::ByteWriter& w, const PartitionPlan& plan) {
@@ -175,7 +120,6 @@ std::vector<std::uint8_t> encode_plan_entry(const PlanCacheEntry& entry,
   w.fixed32(kPlanFormatVersion);
   w.str(digest);
   put_double(w, entry.curvature_eps);
-  put_profile(w, entry.profile);
   put_plan(w, entry.plan);
   w.varint(entry.predictions.size());
   for (const PlanPrediction& p : entry.predictions) {
@@ -203,12 +147,12 @@ PlanCacheEntry decode_plan_entry(const std::uint8_t* data, std::size_t size,
   serialize::ByteReader rd(data, size - kTrailer, context);
   rd.raw(sizeof(kPlanMagic));
   const std::uint32_t version = rd.fixed32();
-  // Version before checksum: a future format may checksum differently but
+  // Version before checksum: another format may checksum differently but
   // must still be reported as a version problem, not corruption.
-  if (version > kPlanFormatVersion)
+  if (version != kPlanFormatVersion)
     throw std::runtime_error(
         context + ": plan cache schema version " + std::to_string(version) +
-        " is newer than this build supports (" +
+        " is not the version this build reads (" +
         std::to_string(kPlanFormatVersion) + ")");
 
   serialize::ByteReader trailer(data + size - kTrailer, kTrailer, context);
@@ -219,7 +163,6 @@ PlanCacheEntry decode_plan_entry(const std::uint8_t* data, std::size_t size,
   const std::string stored_digest = rd.str();
   if (digest != nullptr) *digest = stored_digest;
   entry.curvature_eps = get_double(rd);
-  entry.profile = get_profile(rd);
   entry.plan = get_plan(rd);
   const std::uint64_t num_predictions = rd.count("prediction");
   entry.predictions.reserve(num_predictions);
@@ -292,6 +235,7 @@ std::shared_ptr<const PlanCacheEntry> PlanCache::get(
 }
 
 void PlanCache::put(const std::string& digest, PlanCacheEntry entry) {
+  entry.profile = MissProfile();
   const std::vector<std::uint8_t> blob = encode_plan_entry(entry, digest);
   {
     std::lock_guard<std::mutex> lk(mu_);

@@ -86,15 +86,14 @@ struct PlanPrediction {
       default;
 };
 
-/// The memoized result: everything needed to answer a repeat request
-/// bit-identically without touching the trace store. The profile is
-/// carried even though a plan hit only reads `plan` + `predictions`
-/// today: it is the self-contained evidence of what the plan was
-/// computed from (debuggability of a cache whose inputs may since have
-/// been evicted), and the enabler for re-planning the SAME captures
-/// under a different planner config without a replay sweep — the
-/// ROADMAP's request-batching item.
+/// The memoized result: exactly what a hit serves, so a repeat request
+/// is answered bit-identically without touching the trace store. Both
+/// tiers hold `plan`, `predictions` and `curvature_eps`: about 1.3 KB
+/// encoded for a built-in scenario's plan, whatever the size of its grid.
 struct PlanCacheEntry {
+  /// Read by nothing and never stored: PlanCache::put clears it, so
+  /// every hit returns it empty. benchmark/src/pipeline.cpp still names
+  /// it, so it stays until Benchmark v2 edits that file and deletes it.
   MissProfile profile;
   PartitionPlan plan;
   std::vector<PlanPrediction> predictions;
@@ -111,17 +110,21 @@ struct PlanCacheEntry {
 //   [8..11]  fixed32 schema version (kPlanFormatVersion)
 //   payload  varint/str encoded: embedded PlanKey digest (verified on
 //            load so a renamed/copied file never serves the wrong key),
-//            resolved curvature_eps, the MissProfile (raw Welford state,
-//            doubles as fixed64 bit patterns — bit-exact), the
-//            PartitionPlan and the prediction table,
+//            resolved curvature_eps, the PartitionPlan and the
+//            prediction table (doubles as fixed64 bit patterns —
+//            bit-exact),
 //   trailer  fixed64 FNV-1a checksum over every preceding byte.
-// Truncation, bad magic, a FUTURE schema version, checksum mismatch and
-// trailing garbage all throw std::runtime_error naming the context (the
-// file path); the version check precedes the checksum.
+// Truncation, bad magic, any schema version but kPlanFormatVersion,
+// checksum mismatch and trailing garbage all throw std::runtime_error
+// naming the context (the file path); the version check precedes the
+// checksum. Version 1 also carried the request's MissProfile; PlanKey
+// hashes the version, so no key addresses a version-1 blob and old
+// blobs age out under the disk budget.
 
 inline constexpr char kPlanMagic[8] = {'C', 'M', 'S', 'P', 'L', 'A', 'N', '_'};
-inline constexpr std::uint32_t kPlanFormatVersion = 1;
+inline constexpr std::uint32_t kPlanFormatVersion = 2;
 
+/// Encodes everything but `entry.profile`, which no version-2 blob holds.
 std::vector<std::uint8_t> encode_plan_entry(const PlanCacheEntry& entry,
                                             std::string_view digest);
 PlanCacheEntry decode_plan_entry(const std::uint8_t* data, std::size_t size,
@@ -192,8 +195,10 @@ class PlanCache {
   std::shared_ptr<const PlanCacheEntry> get(const std::string& digest);
 
   /// Memoize `entry` under `digest` in both tiers, then enforce the
-  /// budgets. The disk write is best-effort: an I/O failure is logged
-  /// and the memory tier still serves the entry (never throws).
+  /// budgets. `entry.profile` is cleared first, so a memory hit and a
+  /// disk hit return the same entry. The disk write is best-effort: an
+  /// I/O failure is logged and the memory tier still serves the entry
+  /// (never throws).
   void put(const std::string& digest, PlanCacheEntry entry);
 
   /// Enforce both budgets now; returns what was evicted (both tiers).

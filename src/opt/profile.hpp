@@ -53,10 +53,11 @@ class MissProfile {
   /// Replay every sample of `frag` in its recorded order.
   void add_fragment(const ProfileFragment& frag);
 
-  /// Install a fully-formed point (overwriting any existing one) — the
-  /// deserialization hook of the plan-cache codec (opt/plan_cache.hpp),
-  /// which must reconstruct folded statistics bit-exactly and therefore
-  /// cannot go through add_sample's Welford accumulation.
+  /// Install a fully-formed point (overwriting any existing one), copying
+  /// its folded statistics bit-exactly where add_sample's Welford
+  /// accumulation could not: the sweep-coalescing slice of a union-grid
+  /// profile (svc/planning_service.cpp) and ablation_phased's union of
+  /// per-phase curves.
   void set_point(const std::string& task, std::uint32_t sets,
                  ProfilePoint point);
 

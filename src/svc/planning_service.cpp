@@ -629,7 +629,6 @@ void PlanningService::run_request(const core::Experiment& exp,
 
   if (cfg_.plan_cache != nullptr) {
     opt::PlanCacheEntry entry;
-    entry.profile = prof;
     entry.plan = resp.assignment;
     entry.predictions.reserve(resp.tasks.size());
     for (const auto& t : resp.tasks)

@@ -14,7 +14,9 @@
 // ordering, byte-dripped reassembly, oversized-frame fatality, busy
 // shedding with framed canned responses, the u32 cap on the framing,
 // and a deterministic-seed fuzz of frame extraction over real
-// connections.
+// connections. Both framings' extract hooks are also driven directly:
+// one buffer of N messages pops N messages and stops after the last
+// complete one.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -324,6 +326,36 @@ TEST(LineFraming, CrlfAndBlankLinesAreTolerated) {
   EXPECT_EQ(c.recv_line(), std::optional<std::string>("ok:a"));
   EXPECT_EQ(c.recv_line(), std::optional<std::string>("ok:b"));
   EXPECT_EQ(server.stats().served, 2u);  // blank lines were never admitted
+}
+
+TEST(LineFraming, TenThousandPipelinedLinesInOneWriteAnswerInOrder) {
+  // One write spans many of the IO thread's reads, so lines straddle
+  // read boundaries and each parse pops hundreds of lines off one buffer.
+  constexpr int kLines = 10000;
+  SocketServerConfig cfg = line_config();
+  cfg.workers = 4;
+  cfg.max_pending = kLines;  // nothing sheds
+  cfg.handler = [](const std::string& line) { return "echo:" + line; };
+  SocketServer server(std::move(cfg));
+  server.start();
+
+  TestClient c(server.port());
+  std::string burst;
+  for (int i = 0; i < kLines; ++i) {
+    burst += std::to_string(i);
+    burst += '\n';
+  }
+  c.send_raw(burst);
+  for (int i = 0; i < kLines; ++i) {
+    const auto resp = c.recv_line();
+    ASSERT_TRUE(resp.has_value()) << "line " << i;
+    std::string want = "echo:";
+    want += std::to_string(i);
+    ASSERT_EQ(*resp, want);
+  }
+  const SocketServer::Stats s = server.stats();
+  EXPECT_EQ(s.served, static_cast<std::uint64_t>(kLines));
+  EXPECT_EQ(s.shed, 0u);
 }
 
 TEST(LineFraming, GracefulShutdownDrainsEveryAdmittedRequest) {
@@ -678,6 +710,54 @@ TEST(FrameFraming, CapAboveUint32MaxThrows) {
   // could never be reached and is refused.
   EXPECT_THROW(frame_framing(0x1'0000'0000ull), std::invalid_argument);
   EXPECT_NO_THROW(frame_framing(0xFFFF'FFFFull));
+}
+
+/// Runs `framing`'s extract over `buf` from offset 0 until it stops,
+/// expecting exactly `want` in order and then kNeedMore; returns the
+/// final offset.
+std::size_t expect_pops(const Framing& framing, const std::string& buf,
+                        const std::vector<std::string>& want) {
+  std::size_t pos = 0;
+  std::size_t popped = 0;
+  std::string msg;
+  Extract st = Extract::kMessage;
+  while ((st = framing.extract(buf, pos, msg)) == Extract::kMessage) {
+    if (popped < want.size()) {
+      EXPECT_EQ(msg, want[popped]);
+    }
+    ++popped;
+  }
+  EXPECT_EQ(st, Extract::kNeedMore);
+  EXPECT_EQ(popped, want.size());
+  return pos;
+}
+
+TEST(LineFraming, OneBufferOfNLinesYieldsNMessages) {
+  std::vector<std::string> want;
+  std::string buf;
+  for (int i = 0; i < 1000; ++i) {
+    want.push_back(std::to_string(i));
+    buf += want.back();
+    buf += i % 2 ? "\r\n" : "\n";
+  }
+  const std::size_t end = buf.size();
+  buf += "partial";  // no newline yet
+  EXPECT_EQ(expect_pops(line_framing(64), buf, want), end);
+}
+
+TEST(FrameFraming, OneBufferOfNFramesYieldsNMessages) {
+  std::vector<std::string> want;
+  std::string buf;
+  for (int i = 0; i < 1000; ++i) {
+    want.emplace_back(static_cast<std::size_t>(i % 5), '\n');
+    want.back() += std::to_string(i);
+    buf += frame_encode(want.back());
+  }
+  want.emplace_back();  // an empty payload is a message too
+  buf += frame_encode(want.back());
+  const std::size_t end = buf.size();
+  buf += frame_encode("partial").substr(0, kFrameHeaderBytes + 3);
+  EXPECT_EQ(expect_pops(frame_framing(64), buf, want), end);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Tests for the memoized plan cache (opt/plan_cache.hpp): PlanKey
 // canonicalization and sensitivity, bit-exact entry round trips through
-// the .cmsplan format, every corruption path throwing, the two cache
-// tiers (LRU budgets, pin-during-read, cross-instance disk warm hits,
-// vanished-file-means-miss), coexistence with a TraceStore over one
-// directory, and a multi-threaded stress mirroring TraceStoreStress.
+// the .cmsplan format, entries stored without their profile in both
+// tiers, every corruption path (and every other format version)
+// throwing, the two cache tiers (LRU budgets, pin-during-read,
+// cross-instance disk warm hits, vanished-file-means-miss), coexistence
+// with a TraceStore over one directory, and a multi-threaded stress
+// mirroring TraceStoreStress.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -47,9 +49,9 @@ struct TempDir {
   }
 };
 
-/// A representative entry: a folded profile with repeated measurements
-/// (non-trivial Welford state), a multi-entry plan and predictions. `n`
-/// makes entries distinguishable per digest.
+/// A representative entry: a multi-entry plan, predictions and a folded
+/// profile with repeated measurements (non-trivial Welford state), which
+/// the cache must drop. `n` makes entries distinguishable per digest.
 PlanCacheEntry sample_entry(std::uint64_t n = 0) {
   PlanCacheEntry e;
   for (const std::uint32_t sets : {1u, 4u, 16u}) {
@@ -83,8 +85,8 @@ PlanCacheEntry sample_entry(std::uint64_t n = 0) {
   return e;
 }
 
+/// Everything a hit serves is bit-identical; the profile is never stored.
 void expect_identical(const PlanCacheEntry& a, const PlanCacheEntry& b) {
-  EXPECT_TRUE(a.profile.identical(b.profile));
   EXPECT_TRUE(a.plan.identical(b.plan));
   EXPECT_EQ(a.predictions, b.predictions);
   EXPECT_EQ(a.curvature_eps, b.curvature_eps);
@@ -115,9 +117,10 @@ TEST(PlanKey, DeterministicAndOrderCanonical) {
   const PlanKey a = sample_key();
   PlanKey b = sample_key();
   EXPECT_EQ(a.digest(), b.digest());
-  // Pinned: a key's bytes outlive planner refactors, so cached .cmsplan
-  // entries keep answering.
-  EXPECT_EQ(a.digest(), "e38911c716a4da7bb8a75a018dce93c0");
+  // Pinned: a key's bytes survive planner refactors, so cached .cmsplan
+  // entries keep answering, and move with kPlanFormatVersion, so no key
+  // addresses a blob of another format.
+  EXPECT_EQ(a.digest(), "148241d478dc670e84a57771815f9deb");
   // The profile folds by schedule position, not digest order: the same
   // capture SET must address the same plan.
   std::swap(b.capture_digests[0], b.capture_digests[1]);
@@ -192,6 +195,33 @@ TEST(PlanFormat, EncodeDecodeRoundTripsBitExactly) {
       decode_plan_entry(bytes.data(), bytes.size(), "<memory>", &digest);
   EXPECT_EQ(digest, "plan-key-1");
   expect_identical(original, decoded);
+}
+
+TEST(PlanFormat, EncodingLeavesTheProfileOut) {
+  PlanCacheEntry bare = sample_entry();
+  bare.profile = MissProfile();
+  EXPECT_EQ(encode_plan_entry(sample_entry(), "k"),
+            encode_plan_entry(bare, "k"));
+}
+
+TEST(PlanFormat, PutDropsTheProfileInBothTiers) {
+  TempDir tmp;
+  const PlanCacheEntry original = sample_entry(4);
+  ASSERT_FALSE(original.profile.identical(MissProfile()));
+  PlanCache writer(disk_config(tmp));
+  writer.put("k", original);
+  const auto mem_hit = writer.get("k");
+  ASSERT_NE(mem_hit, nullptr);
+  EXPECT_EQ(writer.stats().mem_hits, 1u);
+  // A fresh instance over the same directory answers from the disk tier.
+  PlanCache reader(disk_config(tmp));
+  const auto disk_hit = reader.get("k");
+  ASSERT_NE(disk_hit, nullptr);
+  EXPECT_EQ(reader.stats().disk_hits, 1u);
+  for (const auto& hit : {mem_hit, disk_hit}) {
+    EXPECT_TRUE(hit->profile.identical(MissProfile()));
+    expect_identical(*hit, original);
+  }
 }
 
 TEST(PlanFormat, FileRoundTripsAndLeavesNoTempFiles) {
@@ -567,19 +597,19 @@ class PlanCacheAnyBackend : public ::testing::TestWithParam<BackendKind> {
   std::shared_ptr<MemBackend> mem_;
 };
 
-/// A plan cache file written field by field, sealed with a recomputed
-/// trailer: an empty profile, `entries` plan entries and, when that is
-/// 0, an empty plan and `predictions` predictions. Nothing follows a
-/// nonzero count.
-std::vector<std::uint8_t> crafted_plan_entry(const std::string& digest,
-                                             std::uint64_t entries,
-                                             std::uint64_t predictions) {
+/// A plan cache file written field by field under schema `version`,
+/// sealed with a recomputed trailer: `entries` plan entries and, when
+/// that is 0, an empty plan and `predictions` predictions. Nothing
+/// follows a nonzero count.
+std::vector<std::uint8_t> crafted_plan_entry(
+    const std::string& digest, std::uint64_t entries,
+    std::uint64_t predictions,
+    std::uint32_t version = kPlanFormatVersion) {
   serialize::ByteWriter w;
   for (const char c : kPlanMagic) w.u8(static_cast<std::uint8_t>(c));
-  w.fixed32(kPlanFormatVersion);
+  w.fixed32(version);
   w.str(digest);
   w.fixed64(0);  // curvature_eps
-  w.varint(0);   // profile tasks
   w.varint(entries);
   if (entries == 0) {
     for (int field = 0; field < 4; ++field) w.varint(0);  // set counts
@@ -612,6 +642,29 @@ TEST_P(PlanCacheAnyBackend, CountsBeyondThePayloadThrow) {
       EXPECT_THROW(cache.get(key), std::runtime_error) << key;
     }
   }
+}
+
+// Version 1 blobs (which also held the profile) are no longer read: a
+// checksum-valid one throws, naming its version, from the decoder and
+// from the cache.
+TEST_P(PlanCacheAnyBackend, VersionOneEntryThrowsNamingItsVersion) {
+  const std::vector<std::uint8_t> bytes =
+      crafted_plan_entry("v1", 0, 0, /*version=*/1);
+  const auto expect_version_error = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "expected a version error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("schema version 1 "),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_version_error(
+      [&] { decode_plan_entry(bytes.data(), bytes.size(), "v1"); });
+  backend()->put(BlobKind::kPlan, "v1", bytes);
+  PlanCache cache(config());
+  expect_version_error([&] { cache.get("v1"); });
 }
 
 TEST_P(PlanCacheAnyBackend, FreshInstanceWarmHitsAcrossRestarts) {

@@ -502,6 +502,32 @@ TEST(PlanService, PlanCacheKeySeparatesRequestVariants) {
   }
 }
 
+TEST(PlanService, PlanCacheEntriesHoldOnlyWhatAHitServes) {
+  // Memory guard: a memoized plan costs its plan and predictions, not
+  // its request's MissProfile (about 26 KB encoded for a tiny scenario).
+  TempDir tmp;
+  PlanningServiceConfig cfg;
+  cfg.store = make_store(tmp);
+  cfg.plan_cache = std::make_shared<opt::PlanCache>(opt::PlanCache::Config{});
+  PlanningService service(std::move(cfg));
+
+  std::uint64_t computed = 0;
+  for (const char* scenario : {"mpeg2-tiny", "jpeg-canny-tiny"}) {
+    for (const double eps : {-1.0, 0.0, 0.25}) {
+      PlanRequest req;
+      req.scenario = scenario;
+      req.curvature_eps = eps;
+      const PlanResponse r = service.plan(req);
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.plan_source, PlanSource::kComputed);
+      ++computed;
+    }
+  }
+  const opt::PlanCache::Stats st = service.plan_cache_stats();
+  EXPECT_EQ(st.entries, computed);
+  EXPECT_LT(st.bytes, 4096 * st.entries);
+}
+
 TEST(PlanService, PlanCacheDiskTierSurvivesProcessRestart) {
   TempDir tmp;
   const auto disk_cache = [&] {
